@@ -74,10 +74,6 @@ _DIALECTS: dict[str, dict[str, Symptom]] = {
 }
 
 
-def register_dialect(name: str, events: dict[str, Symptom]) -> None:
-    _DIALECTS[name] = dict(events)
-
-
 def classify_level(symptom: Symptom) -> AlarmLevel:
     """The unique alarm level of a symptom kind."""
     return LEVEL_OF_SYMPTOM[symptom]

@@ -306,7 +306,9 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     topology = state.topology
     active = set(state.active_faults)
     tickets = set(state.repair_tickets)
-    for ticket in sorted(tickets):
+    # a repair ticket (fault class None) and a restart ticket can share a
+    # component and a due tick, so the fault class needs an explicit key
+    for ticket in sorted(tickets, key=lambda t: (t[0], t[1], "" if t[2] is None else t[2].value)):
         component, ready_at, fault_class = ticket
         if ready_at > tick:
             continue

@@ -1,11 +1,12 @@
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdnheal import bndiag
+from sdnheal import alarmpipe, bndiag, simkernel
 from sdnheal.bndiag import (
     BnError,
     BnParams,
@@ -15,8 +16,10 @@ from sdnheal.bndiag import (
     map_diagnosis,
     noisy_or_row,
     posterior_marginals,
+    quickscore_marginals,
 )
 from sdnheal.netmodel import NodeKind
+from sdnheal.simkernel import FaultEvent, Scenario
 from sdnheal.taxonomy import FaultClass, Symptom
 
 from conftest import make_bn2, random_evidence, random_noisy_or_bn
@@ -160,10 +163,25 @@ def test_build_bn_include_hosts_flag(t1):
     assert "symptom:node-unreachable:h1" in bn.symptom_ids
 
 
-def test_build_bn_parent_cap():
+def test_build_bn_long_paths_match_quickscore():
+    # long service paths give symptoms many parents (this topology once
+    # tripped a 10-parent cap); no engine factor grows with that count
     topo = random_topology(5, n_nodes=40, n_services=4, max_path_links=12)
-    with pytest.raises(BnError, match="parent cap exceeded"):
-        bndiag.build_bn(topo, BnParams(max_parents=10))
+    bn = bndiag.build_bn(topo)
+    assert max(len(cpt.parents) for cpt in bn.cpts.values()) > 10
+    evidence = _incident_evidence(topo, bn, _longest_service_link(topo))
+    assert 0 < sum(evidence.values()) <= bndiag.QUICKSCORE_MAX_POSITIVES
+    assert max(len(f.scope) for f in bndiag.compile_factors(bn, evidence)) == 2
+    _assert_matches_quickscore(bn, evidence)
+
+
+def _longest_service_link(topo):
+    service = max(topo.services, key=lambda s: (len(s.path), s.id))
+    return service.path[len(service.path) // 2]
+
+
+def test_params_from_dict_accepts_max_parents_as_no_op():
+    assert bndiag.params_from_dict({"max-parents": 10}) == BnParams()
 
 
 def test_bn_dump_round_trip(t1):
@@ -241,7 +259,7 @@ def test_min_fill_order_deterministic(bn2):
     )
 
 
-def _naive_min_fill(variables, scopes):
+def _naive_min_fill(variables, scopes, last=frozenset()):
     neighbors = {v: set() for v in variables}
     for scope in scopes:
         members = [v for v in scope if v in neighbors]
@@ -262,7 +280,7 @@ def _naive_min_fill(variables, scopes):
     order = []
     remaining = set(variables)
     while remaining:
-        best = min(remaining, key=lambda v: (fill(v), v))
+        best = min(remaining, key=lambda v: (v in last, fill(v), v))
         order.append(best)
         around = list(neighbors[best])
         for i, a in enumerate(around):
@@ -291,6 +309,22 @@ def test_min_fill_order_matches_naive_greedy():
         assert bndiag.min_fill_order(variables, scopes) == _naive_min_fill(
             variables, scopes
         )
+
+
+def test_min_fill_order_puts_last_variables_last():
+    rng = random.Random(98)
+    for _ in range(25):
+        n = rng.randint(3, 14)
+        variables = {f"x{i:02d}" for i in range(n)}
+        pool = sorted(variables)
+        scopes = [
+            tuple(rng.sample(pool, k=rng.randint(1, min(4, n))))
+            for _ in range(rng.randint(2, 12))
+        ]
+        last = frozenset(rng.sample(pool, k=rng.randint(0, n)))
+        order = bndiag.min_fill_order(variables, scopes, last)
+        assert order == _naive_min_fill(variables, scopes, last)
+        assert set(order[len(order) - len(last) :]) == last
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +458,190 @@ def test_impossible_evidence_is_an_error():
         posterior_marginals(bn, {"symptom:service-down:Y": True})
     with pytest.raises(ImpossibleEvidenceError):
         enumerate_joint(bn, {"symptom:service-down:Y": True})
+    with pytest.raises(ImpossibleEvidenceError):
+        quickscore_marginals(bn, {"symptom:service-down:Y": True})
+
+
+def test_unary_factors_fold_negative_findings_and_drop_barren_symptoms():
+    bn = make_bn2(with_z=True)
+    factors = bndiag.compile_factors(bn, {"symptom:service-down:Y": False})
+    assert all(len(f.scope) <= 1 for f in factors)
+    unary = {f.scope[0]: f.table for f in factors if f.scope}
+    assert set(unary) == {"fault:service:A", "fault:service:B"}  # Z is barren
+    assert np.allclose(unary["fault:service:A"], [0.99, 0.01 * 0.1])
+    constant = next(f.table for f in factors if not f.scope)
+    assert constant == pytest.approx(0.999, abs=1e-15)
+
+
+def test_positive_finding_with_two_parents_gets_one_auxiliary_variable(bn2):
+    factors = bndiag.compile_factors(bn2, {"symptom:service-down:Y": True})
+    aux = bndiag.aux_var_id("symptom:service-down:Y")
+    assert max(len(f.scope) for f in factors) == 2
+    assert {f.scope for f in factors if aux in f.scope} == {
+        (aux,), ("fault:service:A", aux), ("fault:service:B", aux),
+    }
+    signed = next(f.table for f in factors if f.scope == (aux,))
+    assert np.allclose(signed, [1.0, -0.999])
+
+
+def test_exact_ties_come_out_bit_identical():
+    # A and B are symmetric: the same prior and the same negative findings,
+    # met in opposite orders; C shares a negative finding with both
+    variables = [
+        bndiag.BnVariable(id=f"fault:service:{x}", kind="fault", target=x)
+        for x in "ABC"
+    ]
+    cpts = {}
+    children = {"A": (0.7, 0.95, 0.9, 0.8), "B": (0.8, 0.9, 0.95, 0.7)}
+    for fault, strengths in children.items():
+        for i, p in enumerate(strengths):
+            sid = f"symptom:service-down:{fault}{i}"
+            variables.append(bndiag.BnVariable(id=sid, kind="symptom", target=sid))
+            cpts[sid] = bndiag.NoisyOrCpt(sid, (f"fault:service:{fault}",), (p,), 0.001)
+    shared = "symptom:sla-violation:ABC"
+    variables.append(bndiag.BnVariable(id=shared, kind="symptom", target="ABC"))
+    cpts[shared] = bndiag.NoisyOrCpt(
+        shared, tuple(f"fault:service:{x}" for x in "ABC"), (0.6, 0.6, 0.6), 0.001
+    )
+    bn = bndiag.BayesNet(
+        variables=tuple(variables),
+        priors={"fault:service:A": 0.01, "fault:service:B": 0.01, "fault:service:C": 0.001},
+        cpts=cpts,
+    )
+    evidence = {sid: False for sid in cpts}
+    evidence["symptom:service-down:A0"] = True
+    evidence["symptom:service-down:B3"] = True
+    posterior = posterior_marginals(bn, evidence)
+    assert posterior.pairs["fault:service:A"] == posterior.pairs["fault:service:B"]
+    assert [fid for fid, _ in posterior.ranking()[:2]] == [
+        "fault:service:A", "fault:service:B",
+    ]
+    oracle = enumerate_joint(bn, evidence)
+    for fid in bn.fault_ids:
+        assert posterior.marginal(fid) == pytest.approx(oracle.marginal(fid), abs=1e-9)
+
+
+def test_improbable_evidence_keeps_full_precision():
+    # Two services share a path whose faults negative findings have nearly
+    # ruled out (folded into the priors here, to stay within the
+    # enumeration cap). Summing the auxiliary variables out after the
+    # shared faults cancels like an alternating sum and was 8e-10 off.
+    priors = {
+        "fault:agent:n00": 1.6e-6, "fault:agent:n03": 1.6e-6,
+        "fault:drop:e002": 2.6e-6, "fault:drop:e003": 0.02,
+        "fault:physical:e002": 2e-7, "fault:physical:e003": 0.01,
+        "fault:physical:e007": 1e-8, "fault:physical:e009": 1e-8,
+        "fault:physical:n00": 2e-13, "fault:physical:n03": 2e-11,
+        "fault:physical:n04": 1e-10,
+        "fault:service:v00": 0.004, "fault:service:v02": 0.004,
+    }
+    path = {
+        "fault:agent:n00": 0.8, "fault:agent:n03": 0.8, "fault:physical:e002": 0.95,
+        "fault:physical:e007": 0.95, "fault:physical:e009": 0.95,
+        "fault:physical:n00": 0.95, "fault:physical:n03": 0.95,
+    }
+    findings = {
+        "symptom:link-down:e003": {
+            "fault:physical:e003": 0.95, "fault:physical:n03": 0.95,
+            "fault:physical:n04": 0.95,
+        },
+        "symptom:service-down:v00": {**path, "fault:service:v00": 0.95},
+        "symptom:service-down:v02": {**path, "fault:service:v02": 0.95},
+        "symptom:traffic-drop:e002": {
+            "fault:drop:e002": 0.95, "fault:physical:e002": 0.95,
+            "fault:physical:n00": 0.8, "fault:physical:n03": 0.8,
+        },
+        "symptom:traffic-drop:e003": {
+            "fault:drop:e003": 0.95, "fault:physical:e003": 0.95,
+            "fault:physical:n03": 0.8, "fault:physical:n04": 0.8,
+        },
+    }
+    bn = bndiag.BayesNet(
+        variables=tuple(
+            [bndiag.BnVariable(id=f, kind="fault", target=f) for f in priors]
+            + [bndiag.BnVariable(id=s, kind="symptom", target=s) for s in findings]
+        ),
+        priors=priors,
+        cpts={
+            s: bndiag.NoisyOrCpt(s, tuple(sorted(ps)), tuple(ps[p] for p in sorted(ps)), 0.001)
+            for s, ps in findings.items()
+        },
+    )
+    evidence = {s: True for s in findings}
+    engine = posterior_marginals(bn, evidence)
+    oracle = enumerate_joint(bn, evidence)
+    for fid in priors:
+        assert engine.marginal(fid) == pytest.approx(oracle.marginal(fid), abs=1e-12), fid
+
+
+# ---------------------------------------------------------------------------
+# the Quickscore oracle
+
+
+def test_quickscore_matches_enumeration_on_the_criterion_1_sweep():
+    rng = random.Random(20250810)  # the networks of acceptance criterion 1
+    for _ in range(200):
+        bn = random_noisy_or_bn(rng, max_vars=12, max_parents=4)
+        evidence = random_evidence(rng, bn)
+        try:
+            oracle = enumerate_joint(bn, evidence)
+        except ImpossibleEvidenceError:
+            evidence = {}
+            oracle = enumerate_joint(bn, evidence)
+        quick = quickscore_marginals(bn, evidence)
+        for fid in bn.fault_ids:
+            assert quick.marginal(fid) == pytest.approx(oracle.marginal(fid), abs=1e-9)
+
+
+def test_quickscore_refuses_too_many_positive_findings():
+    rng = random.Random(3)
+    bn = random_noisy_or_bn(rng, max_vars=40)
+    while len(bn.symptom_ids) <= bndiag.QUICKSCORE_MAX_POSITIVES:
+        bn = random_noisy_or_bn(rng, max_vars=40)
+    with pytest.raises(BnError, match="capped at 16 positive findings"):
+        quickscore_marginals(bn, {sid: True for sid in bn.symptom_ids})
+
+
+def _incident_evidence(topo, bn, target, fault_class=FaultClass.PHYSICAL_FAILURE):
+    """Closed-world evidence one tick after the fault is injected."""
+    scenario = Scenario(
+        topology=topo, faults=(FaultEvent(target, fault_class, 1),), seed=1, horizon=2
+    )
+    _, raws = simkernel.step(simkernel.init_sim(scenario))
+    window = alarmpipe.collect_window([alarmpipe.translate_alarm(r) for r in raws], (1, 1))
+    return alarmpipe.to_evidence(window, bn)
+
+
+def _assert_matches_quickscore(bn, evidence):
+    engine = posterior_marginals(bn, evidence)
+    oracle = quickscore_marginals(bn, evidence)
+    for fid in bn.fault_ids:
+        assert engine.marginal(fid) == pytest.approx(oracle.marginal(fid), abs=1e-9), fid
+
+
+@pytest.mark.parametrize("n_nodes", [100, 200, 400])
+def test_link_incidents_match_quickscore_at_scale(n_nodes):
+    topo = random_topology(7777, n_nodes=n_nodes, n_services=n_nodes // 5)
+    bn = bndiag.build_bn(topo)
+    link = topo.services[0].path[3]
+    evidence = _incident_evidence(topo, bn, link)
+    assert 0 < sum(evidence.values()) <= bndiag.QUICKSCORE_MAX_POSITIVES
+    _assert_matches_quickscore(bn, evidence)
+    assert posterior_marginals(bn, evidence).ranking()[0][0] == f"fault:physical:{link}"
+
+
+def test_controller_crash_at_100_nodes():
+    topo = random_topology(7777, n_nodes=100, n_services=20)
+    bn = bndiag.build_bn(topo)
+    evidence = _incident_evidence(topo, bn, topo.controller_id, FaultClass.CONTROLLER_CRASH)
+    assert sum(evidence.values()) > bndiag.QUICKSCORE_MAX_POSITIVES
+    started = time.perf_counter()
+    posterior = posterior_marginals(bn, evidence)
+    elapsed = time.perf_counter() - started
+    assert posterior.ranking()[0][0] == f"fault:controller:{topo.controller_id}"
+    for p_false, p_true in posterior.pairs.values():
+        assert abs(p_false + p_true - 1.0) <= 1e-12
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,25 @@ def test_repair_ticket_restores_component_after_delay(t1):
     assert state.active_faults == frozenset()
 
 
+def test_repair_and_restart_tickets_due_on_one_tick(t1):
+    # a repair ticket carries no fault class; sorting it against a restart
+    # ticket for the same switch and tick must not compare None with a class
+    state = simkernel.init_sim(scenario_for(t1, repair_delay=1))
+    state = simkernel.inject_fault(state, FaultEvent("s1", FaultClass.PHYSICAL_FAILURE, 0))
+    state = simkernel.inject_fault(state, FaultEvent("s1", FaultClass.OPENFLOW_AGENT_CRASH, 0))
+    state, _ = simkernel.apply_action(
+        state, RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="s1")
+    )
+    state, _ = simkernel.apply_action(
+        state, RecoveryAction(kind=ActionKind.RESTART_OPENFLOW_AGENT, target="s1")
+    )
+    assert {ready for _, ready, _ in state.repair_tickets} == {1}
+    state, _ = simkernel.step(state)
+    assert state.active_faults == frozenset()
+    assert state.repair_tickets == frozenset()
+    assert state.topology.node("s1").state is NodeState.UP
+
+
 def test_apply_action_unknown_target(t1):
     state = simkernel.init_sim(scenario_for(t1))
     with pytest.raises(SimError, match="unknown action target"):
