@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -138,6 +138,7 @@ class BnParams:
     p_direct: float = 0.95
     p_indirect: float = 0.8
     leak: float = 0.001
+    # Not a key of parameter documents: diagnosis uses the loop's threshold.
     threshold: float = 0.5
     include_hosts: bool = False
 
@@ -161,7 +162,6 @@ _PARAM_KEYS = {
     "p-direct": "p_direct",
     "p-indirect": "p_indirect",
     "leak": "leak",
-    "threshold": "threshold",
     "include-hosts": "include_hosts",
 }
 # Accepted and ignored, so that older parameter documents still load: the
@@ -187,6 +187,11 @@ def params_from_dict(doc: dict | None) -> BnParams:
                 if cls_name not in _PRIOR_KEYS:
                     raise BnError(f"unknown fault class in priors: {cls_name}")
                 kwargs[_PRIOR_KEYS[cls_name]] = float(p)
+        elif key == "threshold":
+            raise BnError(
+                "threshold is not a network parameter; the loop's diagnosis "
+                "threshold is set with --threshold"
+            )
         elif key in _PARAM_KEYS:
             field = _PARAM_KEYS[key]
             if field == "include_hosts":
@@ -196,25 +201,6 @@ def params_from_dict(doc: dict | None) -> BnParams:
         elif key not in _NO_OP_KEYS:
             raise BnError(f"unknown parameter key: {key}")
     return replace(BnParams(), **kwargs)
-
-
-def params_echo(params: BnParams, override_doc: dict | None) -> dict:
-    """Flag, per parameter, whether the value is a built-in default."""
-    overridden: set[str] = set()
-    if override_doc:
-        for key, value in override_doc.items():
-            if key == "priors":
-                overridden.update(_PRIOR_KEYS[k] for k in value)
-            else:
-                overridden.add(_PARAM_KEYS.get(key, key))
-    echo = {}
-    for f in fields(params):
-        hyphen = f.name.replace("_", "-")
-        echo[hyphen] = {
-            "value": getattr(params, f.name),
-            "source": "override" if f.name in overridden else "default",
-        }
-    return echo
 
 
 # ---------------------------------------------------------------------------

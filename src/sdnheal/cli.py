@@ -1,8 +1,15 @@
-"""Command-line front end.
+"""Command-line front end and the only module that reads input files.
 
 Verbs: validate a topology document, build and dump the diagnosis
 network, diagnose an offline evidence document, run a scenario through
 the closed loop, or batch a directory of scenarios.
+
+Every document goes through one loader that reads the file, decodes the
+JSON and hands it to the document's parser. Any defect in the input,
+from an unreadable file to a wrongly shaped document, is reported as
+`error: ...` with exit status 1; a failure while the verb runs is a
+`runtime error: ...` with exit status 2. `main` is the only place that
+maps exceptions to exit statuses.
 """
 
 from __future__ import annotations
@@ -10,134 +17,167 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import Callable, TypeVar
 
-from . import bndiag, healloop, netmodel
+from . import bndiag, healloop, netmodel, recover, simkernel
+from .alarmpipe import EvidencePolicy
 
-
-def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    parser.add_argument("--params", default=None, help="network parameter document")
-    parser.add_argument("--strategy", default=None, help="strategy table override document")
-    parser.add_argument("--window", type=int, default=None, help="evidence window in ticks")
-    parser.add_argument("--threshold", type=float, default=None, help="diagnosis threshold")
-    parser.add_argument("--verify-timeout", type=int, default=None, help="recovery verification ticks")
-    parser.add_argument(
-        "--policy", choices=["closed-world", "open-world"], default=None,
-        help="evidence policy",
-    )
-    parser.add_argument("--max-widenings", type=int, default=None)
-    parser.add_argument(
-        "--suggest-only", action="store_true", default=False,
-        help="record plans without executing them",
-    )
+T = TypeVar("T")
 
 
-def _config_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.window is not None:
-        overrides["evidence-window"] = args.window
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.verify_timeout is not None:
-        overrides["verify-timeout"] = args.verify_timeout
-    if args.policy is not None:
-        overrides["evidence-policy"] = args.policy
-    if args.max_widenings is not None:
-        overrides["max-widenings"] = args.max_widenings
-    if args.suggest_only:
-        overrides["suggest-only"] = True
-    return overrides
+class _InputError(Exception):
+    """An input document or option is invalid (exit status 1)."""
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _load(path: str | Path, what: str, parse: Callable[[object], T]) -> T:
+    """Read the JSON document at `path` and parse it with `parse`."""
     try:
-        text = Path(args.topology).read_text()
+        doc = json.loads(Path(path).read_bytes())
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _InputError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise _InputError(f"malformed {what} {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed topology document: {exc}", file=sys.stderr)
-        return 1
+        return parse(doc)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    except (KeyError, TypeError, AttributeError) as exc:
+        # what a parser raises on a document of the wrong shape
+        raise _InputError(
+            f"malformed {what} {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _evidence_map(doc) -> dict[str, bool]:
+    if not isinstance(doc, dict):
+        raise bndiag.BnError("evidence document must map symptom ids to booleans")
+    return {str(k): bool(v) for k, v in doc.items()}
+
+
+def _scenario_name(path: Path) -> str:
+    name = path.name
+    for suffix in (".scenario.json", ".json"):
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return name
+
+
+def _load_scenario(path: Path, seed: int | None) -> tuple[str, simkernel.Scenario]:
+    scenario = _load(
+        path, "scenario", lambda doc: simkernel.load_scenario(doc, base_dir=path.parent)
+    )
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
+    return _scenario_name(path), scenario
+
+
+def _load_params(path: str | None) -> bndiag.BnParams:
+    if path is None:
+        return bndiag.BnParams()
+    return _load(path, "parameter document", bndiag.params_from_dict)
+
+
+def _loop_settings(
+    args: argparse.Namespace,
+) -> tuple[bndiag.BnParams, recover.StrategyTable, healloop.LoopConfig]:
+    """The parameters, strategy table and loop configuration of `run`/`batch`."""
+    params = _load_params(args.params)
+    table = (
+        _load(args.strategy, "strategy document", recover.strategy_table_from_dict)
+        if args.strategy is not None
+        else recover.default_strategy_table()
+    )
     try:
-        topology = netmodel.load_topology(doc)
-    except netmodel.TopologyError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+        config = healloop.LoopConfig(
+            **{f.name: getattr(args, f.name) for f in fields(healloop.LoopConfig)}
+        )
+    except healloop.LoopError as exc:
+        raise _InputError(str(exc)) from exc
+    return params, table, config
+
+
+def _dump(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write(rendered: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(rendered)
+    else:
+        Path(out).write_text(rendered)
+
+
+def _cmd_validate(args: argparse.Namespace) -> None:
+    topology = _load(args.topology, "topology document", netmodel.load_topology)
     print(
         f"valid: {len(topology.nodes)} nodes, {len(topology.links)} links, "
         f"{len(topology.services)} services"
     )
-    return 0
 
 
-def _cmd_build_bn(args: argparse.Namespace) -> int:
-    try:
-        topology = netmodel.load_topology(Path(args.topology).read_text())
-        params_doc = json.loads(Path(args.params).read_text()) if args.params else None
-        params = bndiag.params_from_dict(params_doc)
-        bn = bndiag.build_bn(topology, params)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rendered = json.dumps(bndiag.bn_to_dict(bn), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
-    return 0
+def _cmd_build_bn(args: argparse.Namespace) -> None:
+    topology = _load(args.topology, "topology document", netmodel.load_topology)
+    bn = bndiag.build_bn(topology, _load_params(args.params))
+    _write(_dump(bndiag.bn_to_dict(bn)), args.out)
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    try:
-        bn = bndiag.load_bn(Path(args.network).read_text())
-        evidence_doc = json.loads(Path(args.evidence).read_text())
-        if not isinstance(evidence_doc, dict):
-            raise bndiag.BnError("evidence document must map symptom ids to booleans")
-        evidence = {str(k): bool(v) for k, v in evidence_doc.items()}
-        threshold = args.threshold if args.threshold is not None else 0.5
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        posterior = bndiag.posterior_marginals(bn, evidence)
-        diagnosis = bndiag.map_diagnosis(posterior, threshold, bn.priors)
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_diagnose(args: argparse.Namespace) -> None:
+    bn = _load(args.network, "network document", bndiag.bn_from_dict)
+    evidence = _load(args.evidence, "evidence document", _evidence_map)
+    posterior = bndiag.posterior_marginals(bn, evidence)
+    diagnosis = bndiag.map_diagnosis(posterior, args.threshold, bn.priors)
     doc = {
         "verdict": diagnosis.verdict.value,
         "threshold": diagnosis.threshold,
         "ranked": [[fid, p] for fid, p in diagnosis.ranked],
         "posterior": dict(sorted(posterior.marginals.items())),
     }
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return 0
+    sys.stdout.write(_dump(doc))
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    return healloop.run_scenario(
-        args.scenario,
-        seed=args.seed,
-        params_path=args.params,
-        strategy_path=args.strategy,
-        config_overrides=_config_overrides(args),
-        out_path=args.out,
-        fmt=args.format,
+def _cmd_run(args: argparse.Namespace) -> None:
+    name, scenario = _load_scenario(Path(args.scenario), args.seed)
+    params, table, config = _loop_settings(args)
+    report = healloop.run_loop(scenario, params, table, config, name)
+    _write(healloop.emit_report(report, args.format), args.out)
+
+
+def _cmd_batch(args: argparse.Namespace) -> None:
+    paths = sorted(Path(args.directory).glob("*.scenario.json"))
+    if not paths:
+        raise _InputError(f"no *.scenario.json files under {args.directory}")
+    scenarios = [_load_scenario(path, args.seed) for path in paths]
+    params, table, config = _loop_settings(args)
+    reports = [
+        healloop.run_loop(scenario, params, table, config, name)
+        for name, scenario in scenarios
+    ]
+    _write(_dump(healloop.batch_to_dict(reports)), args.out)
+
+
+def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
+    # Destinations are named after LoopConfig fields and default to them.
+    parser.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    parser.add_argument("--params", default=None, help="network parameter document")
+    parser.add_argument("--strategy", default=None, help="strategy table override document")
+    parser.add_argument(
+        "--window", dest="evidence_window", metavar="WINDOW", type=int,
+        help="evidence window in ticks",
     )
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    return healloop.run_batch(
-        args.directory,
-        out_path=args.out,
-        seed=args.seed,
-        params_path=args.params,
-        strategy_path=args.strategy,
-        config_overrides=_config_overrides(args),
+    parser.add_argument("--threshold", type=float, help="diagnosis threshold")
+    parser.add_argument("--verify-timeout", type=int, help="recovery verification ticks")
+    parser.add_argument(
+        "--policy", dest="evidence_policy", type=EvidencePolicy,
+        choices=[p.value for p in EvidencePolicy], help="evidence policy",
     )
+    parser.add_argument("--max-widenings", type=int)
+    parser.add_argument(
+        "--suggest-only", action="store_true",
+        help="record plans without executing them",
+    )
+    parser.set_defaults(**asdict(healloop.LoopConfig()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="diagnose an offline evidence document")
     p.add_argument("network", help="network dump produced by build-bn")
     p.add_argument("--evidence", required=True, help="symptom id to boolean map")
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=healloop.LoopConfig().threshold)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("run", help="run a scenario through the closed loop")
@@ -181,7 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a component failing inside a verb
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

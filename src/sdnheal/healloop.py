@@ -17,9 +17,8 @@ re-occurring, so one fault episode yields one incident.
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, fields
+from enum import Enum
 
 from . import alarmpipe, bndiag, netmodel, recover, simkernel
 from .alarmpipe import Alarm, EvidencePolicy
@@ -56,46 +55,6 @@ class LoopConfig:
             raise LoopError(f"threshold must be in (0,1): {self.threshold}")
 
 
-_CONFIG_KEYS = {
-    "evidence-window": "evidence_window",
-    "threshold": "threshold",
-    "verify-timeout": "verify_timeout",
-    "evidence-policy": "evidence_policy",
-    "max-widenings": "max_widenings",
-    "suggest-only": "suggest_only",
-}
-
-
-def loop_config_from_overrides(overrides: dict | None) -> LoopConfig:
-    if not overrides:
-        return LoopConfig()
-    kwargs = {}
-    for key, value in overrides.items():
-        field_name = _CONFIG_KEYS.get(key, key)
-        if field_name not in {f.name for f in fields(LoopConfig)}:
-            raise LoopError(f"unknown loop config key: {key}")
-        if field_name == "evidence_policy":
-            value = EvidencePolicy(value)
-        kwargs[field_name] = value
-    return replace(LoopConfig(), **kwargs)
-
-
-def config_echo(config: LoopConfig, overrides: dict | None) -> dict:
-    overridden = set()
-    for key in overrides or ():
-        overridden.add(_CONFIG_KEYS.get(key, key))
-    echo = {}
-    for f in fields(LoopConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, EvidencePolicy):
-            value = value.value
-        echo[f.name.replace("_", "-")] = {
-            "value": value,
-            "source": "override" if f.name in overridden else "default",
-        }
-    return echo
-
-
 @dataclass(frozen=True)
 class IncidentRecord:
     detected_at: int
@@ -126,9 +85,9 @@ class RunReport:
     records: tuple[IncidentRecord, ...]
     alarm_log: tuple[Alarm, ...]
     metrics: dict
-    params_echo: dict
-    config_echo: dict
-    strategy_source: str
+    params: BnParams
+    config: LoopConfig
+    table: StrategyTable
 
 
 class _Driver:
@@ -192,9 +151,6 @@ def run_loop(
     table: StrategyTable | None = None,
     config: LoopConfig | None = None,
     scenario_name: str = "scenario",
-    params_override_doc: dict | None = None,
-    config_override_doc: dict | None = None,
-    strategy_overridden: bool = False,
 ) -> RunReport:
     """Drive the closed loop over a scenario until its horizon."""
     params = params or BnParams()
@@ -225,9 +181,9 @@ def run_loop(
         records=tuple(records),
         alarm_log=tuple(driver.alarm_log),
         metrics=metrics,
-        params_echo=bndiag.params_echo(params, params_override_doc),
-        config_echo=config_echo(config, config_override_doc),
-        strategy_source="override" if strategy_overridden else "default",
+        params=params,
+        config=config,
+        table=table,
     )
 
 
@@ -470,6 +426,23 @@ def record_to_dict(record: IncidentRecord) -> dict:
     }
 
 
+def settings_echo(settings: BnParams | LoopConfig) -> dict:
+    """Echo every field of a settings object with its provenance.
+
+    A field whose value differs from the built-in default is flagged
+    `override`; one equal to it reads `default`, however it was given.
+    """
+    defaults = type(settings)()
+    echo = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        echo[f.name.replace("_", "-")] = {
+            "value": value.value if isinstance(value, Enum) else value,
+            "source": "default" if value == getattr(defaults, f.name) else "override",
+        }
+    return echo
+
+
 def report_to_dict(report: RunReport) -> dict:
     return {
         "schema-version": REPORT_SCHEMA_VERSION,
@@ -482,161 +455,26 @@ def report_to_dict(report: RunReport) -> dict:
         "alarm-log": [_alarm_to_dict(a) for a in report.alarm_log],
         "metrics": report.metrics,
         "parameters": {
-            "bn": report.params_echo,
-            "loop": report.config_echo,
-            "strategy": report.strategy_source,
+            "bn": settings_echo(report.params),
+            "loop": settings_echo(report.config),
+            "strategy": (
+                "default"
+                if report.table == recover.default_strategy_table()
+                else "override"
+            ),
         },
     }
 
 
-# ---------------------------------------------------------------------------
-# File-level entry points (exit status 0 clean, 1 validation, 2 runtime)
-
-
-def _scenario_name(path: Path) -> str:
-    name = path.name
-    for suffix in (".scenario.json", ".json"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
-
-
-def _load_json_file(path: str | Path, what: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise LoopError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LoopError(f"malformed {what} {path}: {exc}") from exc
-
-
-def run_scenario(
-    scenario_path: str | Path,
-    seed: int | None = None,
-    params_path: str | Path | None = None,
-    strategy_path: str | Path | None = None,
-    config_overrides: dict | None = None,
-    out_path: str | Path | None = None,
-    fmt: str = "json",
-    stdout=None,
-) -> int:
-    """Load a scenario file, run the loop, write the report."""
-    stdout = stdout if stdout is not None else sys.stdout
-    try:
-        scenario_file = Path(scenario_path)
-        try:
-            text = scenario_file.read_text()
-        except OSError as exc:
-            raise LoopError(f"cannot read scenario {scenario_file}: {exc}") from exc
-        scenario = simkernel.load_scenario(text, base_dir=scenario_file.parent)
-        if seed is not None:
-            scenario = replace(scenario, seed=int(seed))
-        params_doc = (
-            _load_json_file(params_path, "parameter document") if params_path else None
-        )
-        params = bndiag.params_from_dict(params_doc)
-        strategy_doc = (
-            _load_json_file(strategy_path, "strategy document")
-            if strategy_path
-            else None
-        )
-        table = recover.strategy_table_from_dict(strategy_doc)
-        config = loop_config_from_overrides(config_overrides)
-        if fmt not in ("json", "table"):
-            raise LoopError(f"unknown report format: {fmt}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        report = run_loop(
-            scenario,
-            params=params,
-            table=table,
-            config=config,
-            scenario_name=_scenario_name(scenario_file),
-            params_override_doc=params_doc,
-            config_override_doc=config_overrides,
-            strategy_overridden=strategy_doc is not None,
-        )
-        rendered = emit_report(report, fmt)
-    except Exception as exc:  # component failures are runtime errors
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-
-    if out_path is not None:
-        Path(out_path).write_text(rendered)
-    else:
-        stdout.write(rendered)
-    return 0
-
-
-def run_batch(
-    directory: str | Path,
-    out_path: str | Path | None = None,
-    seed: int | None = None,
-    params_path: str | Path | None = None,
-    strategy_path: str | Path | None = None,
-    config_overrides: dict | None = None,
-    stdout=None,
-) -> int:
-    """Run every *.scenario.json under a directory and pool the metrics."""
-    stdout = stdout if stdout is not None else sys.stdout
-    try:
-        base = Path(directory)
-        scenario_files = sorted(base.glob("*.scenario.json"))
-        if not scenario_files:
-            raise LoopError(f"no *.scenario.json files under {base}")
-        params_doc = (
-            _load_json_file(params_path, "parameter document") if params_path else None
-        )
-        params = bndiag.params_from_dict(params_doc)
-        strategy_doc = (
-            _load_json_file(strategy_path, "strategy document")
-            if strategy_path
-            else None
-        )
-        table = recover.strategy_table_from_dict(strategy_doc)
-        config = loop_config_from_overrides(config_overrides)
-        scenarios = []
-        for path in scenario_files:
-            scenario = simkernel.load_scenario(path.read_text(), base_dir=path.parent)
-            if seed is not None:
-                scenario = replace(scenario, seed=int(seed))
-            scenarios.append((_scenario_name(path), scenario))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        reports = [
-            run_loop(scenario, params=params, table=table, config=config,
-                     scenario_name=name)
-            for name, scenario in scenarios
-        ]
-        aggregate = batch_metrics(reports)
-        doc = {
-            "schema-version": REPORT_SCHEMA_VERSION,
-            "aggregate": aggregate,
-            "runs": [
-                {
-                    "name": report.scenario_name,
-                    "seed": report.seed,
-                    "metrics": report.metrics,
-                }
-                for report in reports
-            ],
-        }
-        rendered = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    except Exception as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-
-    if out_path is not None:
-        Path(out_path).write_text(rendered)
-    else:
-        stdout.write(rendered)
-    return 0
+def batch_to_dict(reports: list[RunReport]) -> dict:
+    return {
+        "schema-version": REPORT_SCHEMA_VERSION,
+        "aggregate": batch_metrics(reports),
+        "runs": [
+            {"name": report.scenario_name, "seed": report.seed, "metrics": report.metrics}
+            for report in reports
+        ],
+    }
 
 
 def emit_report(report: RunReport, fmt: str = "json") -> str:

@@ -59,8 +59,15 @@ class ActionOutcome:
 @dataclass(frozen=True)
 class ActionTemplate:
     kind: ActionKind
-    scope: str = "target"  # "target" or "dependent-services"
+    scope: str = "target"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.scope not in ("target", "dependent-services"):
+            raise PlanError(
+                f"unknown action scope {self.scope!r} "
+                "(expected target or dependent-services)"
+            )
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,8 @@ def load_scenario(document: str | dict, base_dir: Path | None = None) -> Scenari
             path = base_dir / path
         try:
             topology = netmodel.load_topology(path.read_text())
-        except FileNotFoundError as exc:
-            raise SimError(f"topology file not found: {path}") from exc
+        except OSError as exc:
+            raise SimError(f"cannot read topology file {path}: {exc.strerror}") from exc
     elif isinstance(topo_entry, dict):
         topology = netmodel.load_topology(topo_entry)
     else:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sdnheal import alarmpipe, bndiag, simkernel
+from sdnheal import alarmpipe, bndiag, healloop, simkernel
 from sdnheal.bndiag import (
     BnError,
     BnParams,
@@ -196,7 +196,7 @@ def test_params_from_dict_overrides():
     assert params.p_direct == 0.9
     assert params.prior_physical == 0.05
     assert params.leak == BnParams().leak
-    echo = bndiag.params_echo(params, {"p-direct": 0.9, "priors": {"physical-failure": 0.05}})
+    echo = healloop.settings_echo(params)
     assert echo["p-direct"]["source"] == "override"
     assert echo["prior-physical"]["source"] == "override"
     assert echo["leak"]["source"] == "default"
@@ -205,6 +205,12 @@ def test_params_from_dict_overrides():
 def test_params_from_dict_rejects_unknown_key():
     with pytest.raises(BnError, match="unknown parameter key"):
         bndiag.params_from_dict({"p-sideways": 0.3})
+
+
+def test_params_from_dict_rejects_threshold():
+    # the loop diagnoses at LoopConfig.threshold; a network-level key would be dead
+    with pytest.raises(BnError, match="--threshold"):
+        bndiag.params_from_dict({"threshold": 0.99})
 
 
 def test_params_validate_ranges():

@@ -182,3 +182,62 @@ def test_batch_aggregates_runs(workdir, capsys):
 
 def test_batch_empty_directory(tmp_path):
     assert main(["batch", str(tmp_path)]) == 1
+
+
+def _scenario_doc(**changes):
+    doc = json.loads((DATA_DIR / "t1-linkfail.scenario.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+def _topology_doc_without_node_id():
+    doc = json.loads((DATA_DIR / "t1.topology.json").read_text())
+    del doc["nodes"][0]["id"]
+    return doc
+
+
+SCENARIO = "t1-linkfail.scenario.json"
+NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
+
+
+@pytest.mark.parametrize(
+    "documents, argv",
+    [
+        ({"p.json": {"priors": 3}}, ["run", SCENARIO, "--params", "p.json"]),
+        ({"p.json": [1, 2]}, ["run", SCENARIO, "--params", "p.json"]),
+        (
+            {"s.json": {"physical-failure": [{"scope": "target"}]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        (
+            {"s.json": {"physical-failure": [{"kind": "reroute", "scope": "targte"}]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        ({"x.scenario.json": NO_TARGET}, ["run", "x.scenario.json"]),
+        ({"x.scenario.json": NO_TARGET}, ["batch", "."]),
+        (
+            {"x.scenario.json": _scenario_doc(topology="topodir")},
+            ["run", "x.scenario.json"],
+        ),
+        ({"bn.json": {"variables": []}}, ["diagnose", "bn.json", "--evidence", "bn.json"]),
+        ({"t.json": _topology_doc_without_node_id()}, ["validate", "t.json"]),
+    ],
+)
+def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
+    """An unreadable or wrongly shaped document is a validation error, not a crash."""
+    (workdir / "topodir").mkdir()
+    for name, doc in documents.items():
+        (workdir / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(workdir)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_echoes_policy_flag_as_override(workdir):
+    out = workdir / "report.json"
+    argv = ["run", str(workdir / SCENARIO), "--policy", "open-world",
+            "--threshold", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    loop = json.loads(out.read_text())["parameters"]["loop"]
+    assert loop["evidence-policy"] == {"value": "open-world", "source": "override"}
+    assert loop["threshold"] == {"value": 0.5, "source": "default"}

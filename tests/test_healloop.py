@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sdnheal import bndiag, healloop
+from sdnheal import bndiag, healloop, recover
 from sdnheal.alarmpipe import EvidencePolicy
-from sdnheal.bndiag import Diagnosis, Posterior, Verdict
+from sdnheal.bndiag import BnParams, Diagnosis, Posterior, Verdict
 from sdnheal.healloop import (
     IncidentRecord,
     LoopConfig,
@@ -245,9 +245,9 @@ def fabricate_report(records) -> healloop.RunReport:
         records=tuple(records),
         alarm_log=(),
         metrics=compute_metrics(list(records), []),
-        params_echo={},
-        config_echo={},
-        strategy_source="default",
+        params=BnParams(),
+        config=LoopConfig(),
+        table=recover.default_strategy_table(),
     )
 
 
@@ -321,12 +321,63 @@ def test_emit_report_equal_runs_byte_identical(t1):
 
 
 def test_report_flags_parameter_sources(t1):
-    params_doc = {"p-direct": 0.9}
-    params = bndiag.params_from_dict(params_doc)
-    report = run_loop(
-        scenario_for(t1), params=params, params_override_doc=params_doc
-    )
-    echo = report.params_echo
+    params = bndiag.params_from_dict({"p-direct": 0.9})
+    report = run_loop(scenario_for(t1), params=params)
+    parameters = json.loads(emit_report(report))["parameters"]
+    echo = parameters["bn"]
     assert echo["p-direct"] == {"value": 0.9, "source": "override"}
     assert echo["p-indirect"]["source"] == "default"
-    assert report.config_echo["threshold"]["source"] == "default"
+    assert parameters["loop"]["threshold"]["source"] == "default"
+
+
+DEFAULT_PHYSICAL_STRATEGY = [
+    {"kind": "reroute", "scope": "dependent-services"},
+    {"kind": "open-repair-ticket"},
+]
+
+
+@pytest.mark.parametrize(
+    "settings, path, source",
+    [
+        (
+            {"params": bndiag.params_from_dict({"p-direct": 0.95})},
+            ("bn", "p-direct", "source"),
+            "default",
+        ),
+        (
+            {"params": bndiag.params_from_dict({"leak": 0.002})},
+            ("bn", "leak", "source"),
+            "override",
+        ),
+        (
+            {"table": recover.strategy_table_from_dict(
+                {"physical-failure": DEFAULT_PHYSICAL_STRATEGY})},
+            ("strategy",),
+            "default",
+        ),
+        (
+            {"table": recover.strategy_table_from_dict(
+                {"physical-failure": DEFAULT_PHYSICAL_STRATEGY[1:]})},
+            ("strategy",),
+            "override",
+        ),
+        (
+            {"config": LoopConfig(evidence_policy=EvidencePolicy.OPEN_WORLD)},
+            ("loop", "evidence-policy", "source"),
+            "override",
+        ),
+        (
+            {"config": LoopConfig(threshold=0.5)},
+            ("loop", "threshold", "source"),
+            "default",
+        ),
+    ],
+)
+def test_report_provenance_follows_values(t1, settings, path, source):
+    """A setting reads `override` exactly when its value differs from the default."""
+    parameters = json.loads(emit_report(run_loop(scenario_for(t1), **settings)))[
+        "parameters"
+    ]
+    for key in path:
+        parameters = parameters[key]
+    assert parameters == source
