@@ -26,7 +26,6 @@ findings).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -805,14 +804,6 @@ def bn_from_dict(doc: dict) -> BayesNet:
     )
     _check_structure(bn)
     return bn
-
-
-def load_bn(text: str) -> BayesNet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BnError(f"malformed network document: {exc}") from exc
-    return bn_from_dict(doc)
 
 
 def _check_structure(bn: BayesNet) -> None:

@@ -12,6 +12,13 @@ Ground-truth injected faults are attached to incident records by the
 report writer only; the diagnosis path never sees them. Alarms already
 attributed to a recorded incident are suppressed while they keep
 re-occurring, so one fault episode yields one incident.
+
+Diagnosis is memoized per run on the window's set of (emitter, symptom)
+pairs. Evidence depends on nothing else once the network, the evidence
+policy and the threshold are fixed, and they are for the whole run, so a
+window seen before reuses its evidence, posterior and diagnosis exactly
+instead of running inference again. The memo belongs to the network it
+was built for (`_Diagnoser`); a rebuilt network starts an empty one.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from enum import Enum
 
 from . import alarmpipe, bndiag, netmodel, recover, simkernel
 from .alarmpipe import Alarm, EvidencePolicy
-from .bndiag import BayesNet, BnParams, Diagnosis, Posterior, Verdict
+from .bndiag import BayesNet, BnParams, Diagnosis, EvidenceMap, Posterior, Verdict
 from .netmodel import ServiceState
 from .recover import ActionOutcome, RecoveryAction, StrategyTable
 from .simkernel import FaultEvent, Scenario, SimState
@@ -145,6 +152,28 @@ class _Driver:
         ]
 
 
+_Diagnosed = tuple[EvidenceMap, Posterior, Diagnosis]
+
+
+class _Diagnoser:
+    """Diagnosis of alarm windows against one network, memoized on window keys."""
+
+    def __init__(self, bn: BayesNet, config: LoopConfig):
+        self.bn = bn
+        self.policy = config.evidence_policy
+        self.threshold = config.threshold
+        self.memo: dict[frozenset[tuple[str, Symptom]], _Diagnosed] = {}
+
+    def diagnose(self, window: set[Alarm]) -> _Diagnosed:
+        key = frozenset((a.emitter, a.symptom) for a in window)
+        if key not in self.memo:
+            evidence = alarmpipe.to_evidence(window, self.bn, self.policy)
+            posterior = bndiag.posterior_marginals(self.bn, evidence)
+            diagnosis = bndiag.map_diagnosis(posterior, self.threshold, self.bn.priors)
+            self.memo[key] = (evidence, posterior, diagnosis)
+        return self.memo[key]
+
+
 def run_loop(
     scenario: Scenario,
     params: BnParams | None = None,
@@ -156,7 +185,7 @@ def run_loop(
     params = params or BnParams()
     table = table or recover.default_strategy_table()
     config = config or LoopConfig()
-    bn = bndiag.build_bn(scenario.topology, params)
+    diagnoser = _Diagnoser(bndiag.build_bn(scenario.topology, params), config)
     driver = _Driver(simkernel.init_sim(scenario))
 
     records: list[IncidentRecord] = []
@@ -168,7 +197,7 @@ def run_loop(
         if not window:
             continue
         record, final_window = _handle_incident(
-            driver, window, span_start, bn, table, config, scenario
+            driver, window, span_start, diagnoser, table, config, scenario
         )
         records.append(record)
         driver.attribute_to_incident({(a.emitter, a.symptom) for a in final_window})
@@ -191,7 +220,7 @@ def _handle_incident(
     driver: _Driver,
     window: set[Alarm],
     span_start: int,
-    bn: BayesNet,
+    diagnoser: _Diagnoser,
     table: StrategyTable,
     config: LoopConfig,
     scenario: Scenario,
@@ -201,9 +230,7 @@ def _handle_incident(
 
     widenings = 0
     while True:
-        evidence = alarmpipe.to_evidence(window, bn, config.evidence_policy)
-        posterior = bndiag.posterior_marginals(bn, evidence)
-        diagnosis = bndiag.map_diagnosis(posterior, config.threshold, bn.priors)
+        evidence, posterior, diagnosis = diagnoser.diagnose(window)
         if diagnosis.verdict is not Verdict.INCONCLUSIVE:
             break
         if widenings >= config.max_widenings or not driver.advance():

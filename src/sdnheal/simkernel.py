@@ -22,6 +22,12 @@ forwarding, so no service symptom is generated for it. In stochastic mode
 each alarm is independently dropped with the configured loss probability
 and spurious alarms are drawn (Poisson-distributed per tick) uniformly
 from the topology's symptom vocabulary, all from the seeded generator.
+
+The generator lives in `SimState.rng_state`. A stochastic step restores it
+into a constant-seeded `random.Random` (never one seeded from the OS) and
+stores its state after the tick's draws; a deterministic step draws
+nothing and builds no generator, so the state passes through unchanged.
+The vocabulary is computed once per scenario (`Scenario.vocabulary`).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from . import netmodel, taxonomy
@@ -91,6 +98,15 @@ class Scenario:
     seed: int = 0
     horizon: int = 100
     repair_delay: int = DEFAULT_REPAIR_DELAY
+
+    @cached_property
+    def vocabulary(self) -> tuple[tuple[Symptom, str], ...]:
+        """What spurious alarms are drawn from, for every state of the run.
+
+        It depends only on component ids and node kinds, which no state
+        change, reroute or access-point re-homing alters.
+        """
+        return tuple(taxonomy.symptom_vocabulary(self.topology))
 
 
 @dataclass(frozen=True)
@@ -300,8 +316,11 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     if state.tick >= scenario.horizon:
         raise SimError(f"horizon {scenario.horizon} exceeded")
     tick = state.tick + 1
-    rng = random.Random()
-    rng.setstate(state.rng_state)
+    noise = scenario.noise
+    stochastic = noise.mode is NoiseMode.STOCHASTIC
+    if stochastic:
+        rng = random.Random(0)  # a constant seed: setstate replaces it anyway
+        rng.setstate(state.rng_state)
 
     topology = state.topology
     active = set(state.active_faults)
@@ -332,16 +351,13 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     for target, fault_class in active:
         symptoms |= symptoms_for_fault(topology, target, fault_class)
 
-    noise = scenario.noise
     alarms: list[RawAlarm] = []
     for symptom, emitter in sorted(symptoms):
-        if noise.mode is NoiseMode.STOCHASTIC and (
-            rng.random() < noise.alarm_loss_probability
-        ):
+        if stochastic and rng.random() < noise.alarm_loss_probability:
             continue
         alarms.append(_raw_alarm(symptom, emitter, tick))
-    if noise.mode is NoiseMode.STOCHASTIC and noise.spurious_alarm_rate > 0.0:
-        vocabulary = taxonomy.symptom_vocabulary(topology)
+    if stochastic and noise.spurious_alarm_rate > 0.0:
+        vocabulary = scenario.vocabulary
         for _ in range(_poisson(rng, noise.spurious_alarm_rate)):
             symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
             alarms.append(_raw_alarm(symptom, emitter, tick))
@@ -352,7 +368,7 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
         topology=topology,
         active_faults=frozenset(active),
         repair_tickets=frozenset(tickets),
-        rng_state=rng.getstate(),
+        rng_state=rng.getstate() if stochastic else state.rng_state,
         next_fault_index=index,
     )
     return new_state, alarms

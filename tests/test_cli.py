@@ -42,7 +42,7 @@ def test_build_bn_dump_round_trips(workdir):
     assert main(
         ["build-bn", str(workdir / "t1.topology.json"), "--out", str(out)]
     ) == 0
-    dumped = bndiag.load_bn(out.read_text())
+    dumped = bndiag.bn_from_dict(json.loads(out.read_text()))
     from sdnheal import netmodel
 
     built = bndiag.build_bn(
@@ -54,7 +54,7 @@ def test_build_bn_dump_round_trips(workdir):
 def test_diagnose_offline_evidence(workdir, capsys):
     bn_path = workdir / "bn.json"
     main(["build-bn", str(workdir / "t1.topology.json"), "--out", str(bn_path)])
-    bn = bndiag.load_bn(bn_path.read_text())
+    bn = bndiag.bn_from_dict(json.loads(bn_path.read_text()))
     observed = {
         "symptom:link-down:l1",
         "symptom:traffic-drop:l1",

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from sdnheal import bndiag, healloop, recover
+from sdnheal import alarmpipe, bndiag, healloop, recover
 from sdnheal.alarmpipe import EvidencePolicy
 from sdnheal.bndiag import BnParams, Diagnosis, Posterior, Verdict
 from sdnheal.healloop import (
@@ -186,6 +187,71 @@ def test_run_loop_deterministic_across_calls(t1):
     a = emit_report(run_loop(scenario, config=config))
     b = emit_report(run_loop(scenario, config=config))
     assert a == b
+
+
+def noisy_three_fault_scenario(t1) -> Scenario:
+    """Overlapping faults under loss and spurious alarms: some alarm windows
+    repeat within the run, under either evidence policy."""
+    return scenario_for(
+        t1,
+        faults=[
+            FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2),
+            FaultEvent("s3", FaultClass.OPENFLOW_AGENT_CRASH, 9),
+            FaultEvent("v1", FaultClass.SERVICE_FAULT, 16),
+        ],
+        noise=NoiseConfig(
+            mode=NoiseMode.STOCHASTIC,
+            alarm_loss_probability=0.2,
+            spurious_alarm_rate=0.4,
+        ),
+        seed=3,
+        horizon=30,
+        repair_delay=3,
+    )
+
+
+# Recorded before diagnoses were memoized per window; the reports must not move.
+NOISY_REPORT_SHA1 = {
+    EvidencePolicy.CLOSED_WORLD: "8507727d1d2dc01338ea3c31b3b6f518f83e3d9b",
+    EvidencePolicy.OPEN_WORLD: "82d36bda275598d2fc6546e7668cf65ce89193f2",
+}
+
+
+@pytest.mark.parametrize("policy", list(EvidencePolicy))
+def test_noisy_loop_report_pinned(t1, policy):
+    config = LoopConfig(evidence_policy=policy)
+    text = emit_report(run_loop(noisy_three_fault_scenario(t1), config=config))
+    assert hashlib.sha1(text.encode()).hexdigest() == NOISY_REPORT_SHA1[policy]
+
+
+@pytest.mark.parametrize("policy", list(EvidencePolicy))
+def test_loop_infers_each_window_once(t1, policy, monkeypatch):
+    windows, inferred = [], []
+    real_collect, real_infer = alarmpipe.collect_window, bndiag.posterior_marginals
+
+    def collecting(alarms, span):
+        window = real_collect(alarms, span)
+        if window:  # every non-empty window is diagnosed
+            windows.append(
+                frozenset(bndiag.symptom_var_id(a.symptom, a.emitter) for a in window)
+            )
+        return window
+
+    def inferring(bn, evidence):
+        inferred.append(frozenset(sid for sid, value in evidence.items() if value))
+        return real_infer(bn, evidence)
+
+    monkeypatch.setattr(alarmpipe, "collect_window", collecting)
+    monkeypatch.setattr(bndiag, "posterior_marginals", inferring)
+    scenario = noisy_three_fault_scenario(t1)
+    report = run_loop(scenario, config=LoopConfig(evidence_policy=policy))
+    monkeypatch.undo()
+
+    assert len(set(windows)) < len(windows)  # the run does repeat a window
+    assert sorted(inferred, key=sorted) == sorted(set(windows), key=sorted)
+    bn = bndiag.build_bn(scenario.topology)
+    for record in report.records:
+        assert record.posterior == bndiag.posterior_marginals(bn, record.evidence)
 
 
 def test_loop_config_validation():

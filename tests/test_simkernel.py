@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from sdnheal import alarmpipe, netmodel, simkernel
+from sdnheal import alarmpipe, netmodel, simkernel, taxonomy
 from sdnheal.netmodel import LinkState, NodeState, ServiceState
 from sdnheal.recover import ActionKind, OutcomeStatus, RecoveryAction
 from sdnheal.simkernel import (
@@ -238,6 +239,53 @@ def test_step_determinism_stochastic(t1):
     assert any(stream_a)  # the fault produced alarms despite losses
 
 
+def _sha1(value) -> str:
+    return hashlib.sha1(json.dumps(value).encode()).hexdigest()
+
+
+# Recorded before the per-scenario vocabulary and the step generator
+# changed; the alarm stream and the generator state must not move.
+STREAM_SHA1 = "739b81f4e41034b44a423876fbfca51b500d209c"
+RNG_STATE_SHA1 = "94b0341ac59c269b0fcfdf3b1ef91efc3c338e57"
+
+
+def test_stochastic_stream_pinned(t1):
+    noise = NoiseConfig(
+        mode=NoiseMode.STOCHASTIC,
+        alarm_loss_probability=0.5,
+        spurious_alarm_rate=1.5,
+    )
+    scenario = scenario_for(
+        t1,
+        faults=[
+            FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 3),
+            FaultEvent("s3", FaultClass.OPENFLOW_AGENT_CRASH, 12),
+        ],
+        noise=noise,
+        seed=2024,
+        horizon=40,
+    )
+    state = simkernel.init_sim(scenario)
+    stream = []
+    for _ in range(40):
+        state, raws = simkernel.step(state)
+        stream.append([[r.dialect, sorted(r.payload.items()), r.tick] for r in raws])
+    assert sum(map(len, stream)) > 40
+    assert _sha1(stream) == STREAM_SHA1
+    assert _sha1(state.rng_state) == RNG_STATE_SHA1
+
+
+def test_deterministic_step_leaves_rng_state(t1):
+    scenario = scenario_for(
+        t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2)], seed=5
+    )
+    state = simkernel.init_sim(scenario)
+    initial = state.rng_state
+    for _ in range(scenario.horizon):
+        state, _ = simkernel.step(state)
+        assert state.rng_state == initial
+
+
 def test_spurious_alarms_appear_with_high_rate(t1):
     noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=2.0)
     state = simkernel.init_sim(scenario_for(t1, noise=noise, seed=11))
@@ -439,7 +487,8 @@ def test_apply_action_wrong_category(t1):
         )
 
 
-def test_load_balance_ap_rehomes_client():
+def ap_topology():
+    """Two access points; h1 reaches s1 through ap1 and can be re-homed to ap2."""
     doc = {
         "schema-version": 1,
         "nodes": [
@@ -465,20 +514,46 @@ def test_load_balance_ap_rehomes_client():
             }
         ],
     }
-    topo = netmodel.load_topology(doc)
-    state = simkernel.init_sim(Scenario(topology=topo, seed=1, horizon=5))
-    action = RecoveryAction(
-        kind=ActionKind.LOAD_BALANCE_AP,
-        target="ap1",
-        params={"destination": "ap2", "clients": ("h1",)},
-    )
-    state, outcome = simkernel.apply_action(state, action)
+    return netmodel.load_topology(doc)
+
+
+REHOME_H1 = RecoveryAction(
+    kind=ActionKind.LOAD_BALANCE_AP,
+    target="ap1",
+    params={"destination": "ap2", "clients": ("h1",)},
+)
+
+
+def test_load_balance_ap_rehomes_client():
+    state = simkernel.init_sim(Scenario(topology=ap_topology(), seed=1, horizon=5))
+    state, outcome = simkernel.apply_action(state, REHOME_H1)
     assert outcome.status is OutcomeStatus.SUCCESS
     assert set(state.topology.link("ka").endpoints) == {"h1", "ap2"}
     assert state.topology.service("v1").path == (
         "h1", "ka", "ap2", "k2", "s1", "kb", "h2",
     )
     assert netmodel.validate_topology(state.topology) == []
+
+
+def test_scenario_vocabulary_holds_after_reroute_and_rehoming(t1):
+    def vocabulary_matches(state):
+        return state.scenario.vocabulary == tuple(
+            taxonomy.symptom_vocabulary(state.topology)
+        )
+
+    state = simkernel.init_sim(scenario_for(t1))
+    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
+    state, outcome = simkernel.apply_action(
+        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
+    )
+    assert outcome.status is OutcomeStatus.SUCCESS
+    assert vocabulary_matches(state)
+
+    state = simkernel.init_sim(Scenario(topology=ap_topology(), seed=1, horizon=5))
+    state, outcome = simkernel.apply_action(state, REHOME_H1)
+    assert outcome.status is OutcomeStatus.SUCCESS
+    assert state.topology != state.scenario.topology
+    assert vocabulary_matches(state)
 
 
 # ---------------------------------------------------------------------------
