@@ -74,11 +74,6 @@ _DIALECTS: dict[str, dict[str, Symptom]] = {
 }
 
 
-def classify_level(symptom: Symptom) -> AlarmLevel:
-    """The unique alarm level of a symptom kind."""
-    return LEVEL_OF_SYMPTOM[symptom]
-
-
 def translate_alarm(raw: RawAlarm) -> Alarm:
     """Normalize a dialect-specific raw alarm into the three-level taxonomy."""
     events = _DIALECTS.get(raw.dialect)
@@ -89,7 +84,7 @@ def translate_alarm(raw: RawAlarm) -> Alarm:
     if symptom is None:
         raise TranslationError(f"unmappable event {event!r} for dialect {raw.dialect}")
     return Alarm(
-        level=classify_level(symptom),
+        level=LEVEL_OF_SYMPTOM[symptom],
         emitter=raw.payload["emitter"],
         symptom=symptom,
         tick=raw.tick,

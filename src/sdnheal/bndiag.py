@@ -76,13 +76,6 @@ def parse_fault_var(var_id: str) -> tuple[FaultClass, str]:
     return _TAG_FAULT[tag], target
 
 
-def parse_symptom_var(var_id: str) -> tuple[Symptom, str]:
-    kind, tag, emitter = var_id.split(":", 2)
-    if kind != "symptom":
-        raise BnError(f"not a symptom variable id: {var_id}")
-    return Symptom(tag), emitter
-
-
 # ---------------------------------------------------------------------------
 # Types
 
@@ -117,12 +110,6 @@ class BayesNet:
     @property
     def symptom_ids(self) -> list[str]:
         return [v.id for v in self.variables if v.kind == "symptom"]
-
-    def variable(self, var_id: str) -> BnVariable:
-        for v in self.variables:
-            if v.id == var_id:
-                return v
-        raise KeyError(var_id)
 
 
 @dataclass(frozen=True)
@@ -206,17 +193,6 @@ def params_from_dict(doc: dict | None) -> BnParams:
 # Construction
 
 
-def noisy_or_row(active_probabilities: list[float], leak: float) -> float:
-    """P(symptom | the given parents active) under leaky noisy-OR."""
-    for p in list(active_probabilities) + [leak]:
-        if not 0.0 <= p <= 1.0:
-            raise BnError(f"probability out of range: {p}")
-    q = 1.0 - leak
-    for p in active_probabilities:
-        q *= 1.0 - p
-    return 1.0 - q
-
-
 def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
     """Derive the diagnosis network from a topology and its services.
 
@@ -239,25 +215,21 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
         priors[vid] = prior
         return vid
 
-    nodes = sorted(t.nodes, key=lambda n: n.id)
-    links = sorted(t.links, key=lambda l: l.id)
-    services = sorted(t.services, key=lambda s: s.id)
-
     phys: dict[str, str] = {}
-    for n in nodes:
+    for n in t.nodes:
         if n.kind is NodeKind.HOST and not params.include_hosts:
             continue
         phys[n.id] = add_fault(FaultClass.PHYSICAL_FAILURE, n.id, params.prior_physical)
-    for l in links:
+    for l in t.links:
         phys[l.id] = add_fault(FaultClass.PHYSICAL_FAILURE, l.id, params.prior_physical)
 
     drop = {
         l.id: add_fault(FaultClass.INTERFACE_TRAFFIC_DROP, l.id, params.prior_drop)
-        for l in links
+        for l in t.links
     }
     agent = {
         n.id: add_fault(FaultClass.OPENFLOW_AGENT_CRASH, n.id, params.prior_agent)
-        for n in nodes
+        for n in t.nodes
         if n.kind is NodeKind.OPENFLOW_SWITCH
     }
     ctrl = add_fault(
@@ -265,7 +237,7 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
     )
     svc = {
         s.id: add_fault(FaultClass.SERVICE_FAULT, s.id, params.prior_service)
-        for s in services
+        for s in t.services
     }
 
     direct, indirect = params.p_direct, params.p_indirect

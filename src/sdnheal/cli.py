@@ -65,9 +65,14 @@ def _scenario_name(path: Path) -> str:
 
 
 def _load_scenario(path: Path, seed: int | None) -> tuple[str, simkernel.Scenario]:
-    scenario = _load(
-        path, "scenario", lambda doc: simkernel.load_scenario(doc, base_dir=path.parent)
-    )
+    def parse(doc) -> simkernel.Scenario:
+        ref = doc.get("topology") if isinstance(doc, dict) else None
+        if isinstance(ref, str):  # a file reference, relative to the scenario
+            topology = _load(path.parent / ref, "topology document", lambda d: d)
+            doc = {**doc, "topology": topology}
+        return simkernel.load_scenario(doc)
+
+    scenario = _load(path, "scenario", parse)
     if seed is not None:
         scenario = replace(scenario, seed=seed)
     return _scenario_name(path), scenario

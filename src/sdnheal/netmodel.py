@@ -19,7 +19,6 @@ verbatim:
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -82,10 +81,6 @@ class Link:
         # Endpoints are an unordered pair; normalize for stable equality.
         object.__setattr__(self, "endpoints", tuple(sorted(self.endpoints)))
 
-    def other_end(self, node_id: str) -> str:
-        a, b = self.endpoints
-        return b if node_id == a else a
-
 
 @dataclass(frozen=True)
 class Service:
@@ -101,7 +96,6 @@ class Topology:
     nodes: tuple[NetworkNode, ...]
     links: tuple[Link, ...]
     services: tuple[Service, ...]
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda x: x.id)))
@@ -131,13 +125,6 @@ class Topology:
     def service(self, service_id: str) -> Service:
         return self._services_by_id[service_id]
 
-    def has_component(self, cid: str) -> bool:
-        return (
-            cid in self._nodes_by_id
-            or cid in self._links_by_id
-            or cid in self._services_by_id
-        )
-
     @property
     def controller_id(self) -> str:
         for n in self.nodes:
@@ -165,15 +152,11 @@ def _parse_enum(enum_cls, raw, what: str):
         raise TopologyError(f"invalid {what} {raw!r} (expected one of: {valid})")
 
 
-def load_topology(document: str | dict) -> Topology:
-    """Parse and validate a topology document (JSON text or parsed dict)."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"malformed topology document: {exc}") from exc
-    else:
-        doc = document
+def load_topology(doc: dict) -> Topology:
+    """Parse and validate a decoded topology document.
+
+    Decoding JSON text is the caller's job (`cli` reads every file).
+    """
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
     version = doc.get("schema-version", SCHEMA_VERSION)
@@ -221,35 +204,6 @@ def load_topology(document: str | dict) -> Topology:
     if violations:
         raise TopologyError("; ".join(violations))
     return topology
-
-
-def serialize_topology(t: Topology) -> dict:
-    """Inverse of load_topology: load_topology(serialize_topology(t)) == t."""
-    return {
-        "schema-version": t.schema_version,
-        "nodes": [
-            {"id": n.id, "kind": n.kind.value, "state": n.state.value} for n in t.nodes
-        ],
-        "links": [
-            {
-                "id": l.id,
-                "endpoints": list(l.endpoints),
-                "state": l.state.value,
-                "management": l.management,
-            }
-            for l in t.links
-        ],
-        "services": [
-            {
-                "id": s.id,
-                "kind": s.kind.value,
-                "path": list(s.path),
-                "clients": sorted(s.clients),
-                "state": s.state.value,
-            }
-            for s in t.services
-        ],
-    }
 
 
 def validate_topology(t: Topology) -> list[str]:

@@ -28,17 +28,19 @@ into a constant-seeded `random.Random` (never one seeded from the OS) and
 stores its state after the tick's draws; a deterministic step draws
 nothing and builds no generator, so the state passes through unchanged.
 The vocabulary is computed once per scenario (`Scenario.vocabulary`).
+
+A `Scenario` keeps its faults sorted by (tick, target) and is validated
+when it is built, however it is built. The module does no file I/O:
+`load_scenario` parses a decoded document with an inline topology.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 from . import netmodel, taxonomy
 from .alarmpipe import RawAlarm
@@ -99,6 +101,12 @@ class Scenario:
     horizon: int = 100
     repair_delay: int = DEFAULT_REPAIR_DELAY
 
+    def __post_init__(self) -> None:
+        # `step` injects faults in this order
+        faults = tuple(sorted(self.faults, key=lambda f: (f.at_tick, f.target)))
+        object.__setattr__(self, "faults", faults)
+        _validate_scenario(self)
+
     @cached_property
     def vocabulary(self) -> tuple[tuple[Symptom, str], ...]:
         """What spurious alarms are drawn from, for every state of the run.
@@ -121,33 +129,19 @@ class SimState:
     next_fault_index: int = 0
 
 
-def load_scenario(document: str | dict, base_dir: Path | None = None) -> Scenario:
-    """Parse a scenario document; `base_dir` resolves topology file refs."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SimError(f"malformed scenario document: {exc}") from exc
-    else:
-        doc = document
+def load_scenario(doc: dict) -> Scenario:
+    """Parse a decoded scenario document whose topology is an inline object.
+
+    No file is read here: `cli` swaps a topology file reference for the
+    document it decodes before calling this.
+    """
     if not isinstance(doc, dict):
         raise SimError("scenario document must be a JSON object")
     if doc.get("schema-version", 1) != 1:
         raise SimError(f"unsupported schema-version: {doc.get('schema-version')}")
-
-    topo_entry = doc.get("topology")
-    if isinstance(topo_entry, str):
-        path = Path(topo_entry)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        try:
-            topology = netmodel.load_topology(path.read_text())
-        except OSError as exc:
-            raise SimError(f"cannot read topology file {path}: {exc.strerror}") from exc
-    elif isinstance(topo_entry, dict):
-        topology = netmodel.load_topology(topo_entry)
-    else:
+    if not isinstance(doc.get("topology"), dict):
         raise SimError("scenario needs a topology (inline object or file reference)")
+    topology = netmodel.load_topology(doc["topology"])
 
     faults = []
     for entry in doc.get("faults", []):
@@ -169,16 +163,14 @@ def load_scenario(document: str | dict, base_dir: Path | None = None) -> Scenari
         alarm_loss_probability=float(noise_doc.get("alarm-loss-probability", 0.0)),
         spurious_alarm_rate=float(noise_doc.get("spurious-alarm-rate", 0.0)),
     )
-    scenario = Scenario(
+    return Scenario(
         topology=topology,
-        faults=tuple(sorted(faults, key=lambda f: (f.at_tick, f.target))),
+        faults=tuple(faults),
         noise=noise,
         seed=int(doc.get("seed", 0)),
         horizon=int(doc.get("horizon", 100)),
         repair_delay=int(doc.get("repair-delay", DEFAULT_REPAIR_DELAY)),
     )
-    _validate_scenario(scenario)
-    return scenario
 
 
 def _validate_scenario(s: Scenario) -> None:
@@ -203,7 +195,6 @@ def _validate_scenario(s: Scenario) -> None:
 
 def init_sim(scenario: Scenario) -> SimState:
     """Fresh state at tick 0: no faults, every component up, seeded RNG."""
-    _validate_scenario(scenario)
     topology = scenario.topology
     for node in topology.nodes:
         if node.state is not NodeState.UP:
@@ -236,18 +227,6 @@ def _apply_fault(
     if fault_class is FaultClass.PHYSICAL_FAILURE:
         topology = netmodel.set_component_state(topology, target, "down")
     return topology
-
-
-def inject_fault(state: SimState, fault: FaultEvent) -> SimState:
-    """Activate a fault immediately (idempotent for repeats)."""
-    if not taxonomy.is_compatible(state.topology, fault.target, fault.fault_class):
-        raise SimError(
-            f"fault class {fault.fault_class.value} incompatible with "
-            f"target {fault.target}"
-        )
-    active = set(state.active_faults)
-    topology = _apply_fault(state.topology, active, fault.target, fault.fault_class)
-    return replace(state, topology=topology, active_faults=frozenset(active))
 
 
 def symptoms_for_fault(

@@ -57,12 +57,11 @@ def symptom_vocabulary(
 
     Hosts are excluded by default: end hosts sit outside the operator's
     repair domain, so no monitored symptom is attributed to them. The
-    ordering is deterministic (symptom declaration order, then emitter id).
+    ordering is deterministic (symptom declaration order, then emitter id,
+    which is the order a `Topology` keeps).
     """
     out: list[tuple[Symptom, str]] = []
-    nodes = sorted(topology.nodes, key=lambda n: n.id)
-    links = sorted(topology.links, key=lambda l: l.id)
-    services = sorted(topology.services, key=lambda s: s.id)
+    nodes, links, services = topology.nodes, topology.links, topology.services
     switches = [n for n in nodes if n.kind is NodeKind.OPENFLOW_SWITCH]
     monitored = [n for n in nodes if include_hosts or n.kind is not NodeKind.HOST]
 
@@ -73,23 +72,6 @@ def symptom_vocabulary(
     out.extend((Symptom.SERVICE_DOWN, v.id) for v in services)
     out.extend((Symptom.SLA_VIOLATION, v.id) for v in services)
     return out
-
-
-def compatible_fault_targets(topology: Topology, fault: FaultClass) -> list[str]:
-    """Component ids a fault class may be injected on, in sorted order."""
-    nodes = sorted(topology.nodes, key=lambda n: n.id)
-    if fault is FaultClass.PHYSICAL_FAILURE:
-        ids = [n.id for n in nodes] + [l.id for l in topology.links]
-        return sorted(ids)
-    if fault is FaultClass.SERVICE_FAULT:
-        return sorted(s.id for s in topology.services)
-    if fault is FaultClass.OPENFLOW_AGENT_CRASH:
-        return [n.id for n in nodes if n.kind is NodeKind.OPENFLOW_SWITCH]
-    if fault is FaultClass.INTERFACE_TRAFFIC_DROP:
-        return sorted(l.id for l in topology.links)
-    if fault is FaultClass.CONTROLLER_CRASH:
-        return [n.id for n in nodes if n.kind is NodeKind.CONTROLLER]
-    raise ValueError(f"unknown fault class: {fault}")
 
 
 def is_compatible(topology: Topology, target: str, fault: FaultClass) -> bool:

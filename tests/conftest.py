@@ -21,7 +21,7 @@ def t1_doc(t1_path) -> dict:
 
 @pytest.fixture()
 def t1(t1_path) -> netmodel.Topology:
-    return netmodel.load_topology(t1_path.read_text())
+    return netmodel.load_topology(json.loads(t1_path.read_text()))
 
 
 def make_bn2(with_z: bool = False) -> BayesNet:

@@ -8,6 +8,7 @@ budget; everything else runs on package defaults.
 """
 
 import gc
+import json
 import math
 import random
 import time
@@ -25,7 +26,7 @@ from sdnheal.taxonomy import FaultClass
 from conftest import DATA_DIR, make_bn2, random_evidence, random_noisy_or_bn
 from topogen import random_topology
 
-T1 = netmodel.load_topology((DATA_DIR / "t1.topology.json").read_text())
+T1 = netmodel.load_topology(json.loads((DATA_DIR / "t1.topology.json").read_text()))
 
 # Repair-domain targets per fault class on T1 (hosts carry no fault
 # variable, so host failures are not diagnosable hypotheses by design).

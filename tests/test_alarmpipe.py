@@ -58,12 +58,11 @@ def test_translate_idempotent_under_renormalization():
         assert first == again
 
 
-def test_classify_level_total_and_consistent():
-    assert alarmpipe.classify_level(Symptom.OF_SESSION_LOST) is AlarmLevel.TRANSPORT
-    assert alarmpipe.classify_level(Symptom.NODE_UNREACHABLE) is AlarmLevel.PHYSICAL
-    assert alarmpipe.classify_level(Symptom.SERVICE_DOWN) is AlarmLevel.SERVICE
-    for symptom in Symptom:
-        assert alarmpipe.classify_level(symptom) is LEVEL_OF_SYMPTOM[symptom]
+def test_level_of_symptom_total_and_consistent():
+    assert LEVEL_OF_SYMPTOM[Symptom.OF_SESSION_LOST] is AlarmLevel.TRANSPORT
+    assert LEVEL_OF_SYMPTOM[Symptom.NODE_UNREACHABLE] is AlarmLevel.PHYSICAL
+    assert LEVEL_OF_SYMPTOM[Symptom.SERVICE_DOWN] is AlarmLevel.SERVICE
+    assert set(LEVEL_OF_SYMPTOM) == set(Symptom)
 
 
 # ---------------------------------------------------------------------------

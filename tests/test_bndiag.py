@@ -3,8 +3,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from sdnheal import alarmpipe, bndiag, healloop, simkernel
 from sdnheal.bndiag import (
@@ -14,7 +12,6 @@ from sdnheal.bndiag import (
     Verdict,
     enumerate_joint,
     map_diagnosis,
-    noisy_or_row,
     posterior_marginals,
     quickscore_marginals,
 )
@@ -28,44 +25,6 @@ from topogen import random_topology
 # Frozen from the enumeration oracle (cross-checked by hand arithmetic on
 # the 8 joint states of BN2).
 BN2_P_GIVEN_Y = 0.4766918357738374
-
-
-# ---------------------------------------------------------------------------
-# noisy-OR parameterization
-
-
-def test_noisy_or_row_leak_only():
-    assert noisy_or_row([], 0.001) == pytest.approx(0.001, abs=1e-15)
-
-
-def test_noisy_or_row_single_cause():
-    assert noisy_or_row([0.9], 0.0) == pytest.approx(0.9, abs=1e-15)
-
-
-def test_noisy_or_row_two_causes():
-    assert noisy_or_row([0.9, 0.8], 0.0) == pytest.approx(0.98, abs=1e-15)
-
-
-def test_noisy_or_row_rejects_out_of_range():
-    with pytest.raises(BnError, match="out of range"):
-        noisy_or_row([1.2], 0.0)
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.integers(min_value=0, max_value=6),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_noisy_or_row_monotone(probs, leak, index, bump):
-    base = noisy_or_row(probs, leak)
-    assert 0.0 <= base <= 1.0
-    if probs:
-        index %= len(probs)
-        raised = list(probs)
-        raised[index] = min(1.0, raised[index] + bump * (1.0 - raised[index]))
-        assert noisy_or_row(raised, leak) >= base - 1e-12
-    assert noisy_or_row(probs, min(1.0, leak + bump * (1.0 - leak))) >= base - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +47,9 @@ def test_build_bn_t1_variable_counts(t1):
         FaultClass.INTERFACE_TRAFFIC_DROP: 5,
     }
     by_symptom = {}
-    for sid in bn.symptom_ids:
-        symptom, _ = bndiag.parse_symptom_var(sid)
-        by_symptom[symptom] = by_symptom.get(symptom, 0) + 1
+    for v in bn.variables:
+        if v.kind == "symptom":
+            by_symptom[v.symptom] = by_symptom.get(v.symptom, 0) + 1
     assert by_symptom == {
         Symptom.LINK_DOWN: 5,
         Symptom.NODE_UNREACHABLE: 4,

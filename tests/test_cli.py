@@ -1,9 +1,11 @@
+import ast
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
-from sdnheal import bndiag
+from sdnheal import bndiag, cli
 from sdnheal.cli import main
 
 from conftest import DATA_DIR
@@ -46,7 +48,7 @@ def test_build_bn_dump_round_trips(workdir):
     from sdnheal import netmodel
 
     built = bndiag.build_bn(
-        netmodel.load_topology((workdir / "t1.topology.json").read_text())
+        netmodel.load_topology(json.loads((workdir / "t1.topology.json").read_text()))
     )
     assert dumped == built
 
@@ -101,6 +103,17 @@ def test_run_table_format(workdir, capsys):
     out = capsys.readouterr().out
     assert "incident" in out
     assert "physical-failure(l1)" in out
+
+
+def test_load_scenario_topology_file_reference(tmp_path, t1_doc):
+    (tmp_path / "topo.json").write_text(json.dumps(t1_doc))
+    # a relative reference resolves against the scenario's directory
+    for ref in ("topo.json", str(tmp_path / "topo.json")):
+        doc = {"schema-version": 1, "topology": ref, "seed": 1, "horizon": 5}
+        (tmp_path / "x.scenario.json").write_text(json.dumps(doc))
+        name, scenario = cli._load_scenario(tmp_path / "x.scenario.json", None)
+        assert name == "x"
+        assert len(scenario.topology.nodes) == 6
 
 
 def test_run_missing_scenario(workdir, capsys):
@@ -221,13 +234,27 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         ),
         ({"bn.json": {"variables": []}}, ["diagnose", "bn.json", "--evidence", "bn.json"]),
         ({"t.json": _topology_doc_without_node_id()}, ["validate", "t.json"]),
+        ({"t.json": "{not json"}, ["validate", "t.json"]),
+        ({"x.scenario.json": "{not json"}, ["run", "x.scenario.json"]),
+        (
+            {
+                "x.scenario.json": _scenario_doc(topology="bad.topology.json"),
+                "bad.topology.json": "{not json",
+            },
+            ["run", "x.scenario.json"],
+        ),
+        (
+            {"x.scenario.json": _scenario_doc(topology="missing.topology.json")},
+            ["run", "x.scenario.json"],
+        ),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
     """An unreadable or wrongly shaped document is a validation error, not a crash."""
     (workdir / "topodir").mkdir()
     for name, doc in documents.items():
-        (workdir / name).write_text(json.dumps(doc))
+        # a string is written verbatim, so a case can hold malformed JSON
+        (workdir / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     monkeypatch.chdir(workdir)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -241,3 +268,30 @@ def test_run_echoes_policy_flag_as_override(workdir):
     loop = json.loads(out.read_text())["parameters"]["loop"]
     assert loop["evidence-policy"] == {"value": "open-world", "source": "override"}
     assert loop["threshold"] == {"value": 0.5, "source": "default"}
+
+
+def _reads_input(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if not isinstance(func, ast.Attribute):
+        return False
+    if func.attr in ("open", "read_text", "read_bytes"):
+        return True
+    return (
+        func.attr in ("load", "loads")
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "json"
+    )
+
+
+def test_only_cli_reads_and_decodes_documents():
+    package = Path(cli.__file__).parent
+    readers = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(package.glob("*.py"))
+        if module.name != "cli.py"
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.Call) and _reads_input(node)
+    ]
+    assert readers == []

@@ -13,7 +13,7 @@ from sdnheal.simkernel import (
     Scenario,
     SimError,
 )
-from sdnheal.taxonomy import FaultClass, Symptom, compatible_fault_targets
+from sdnheal.taxonomy import FaultClass, Symptom
 
 
 def scenario_for(t1, faults=(), **kwargs) -> Scenario:
@@ -33,6 +33,15 @@ def drain(state):
     """Step once and return (state, set of (symptom, emitter))."""
     state, raws = simkernel.step(state)
     return state, translated(raws)
+
+
+def faulted(t1, *faults, **kwargs):
+    """Step once into a scenario whose (target, class) faults start at tick 0.
+
+    Returns the state at tick 1 and the symptoms that tick emitted.
+    """
+    scheduled = [FaultEvent(target, fault_class, 0) for target, fault_class in faults]
+    return drain(simkernel.init_sim(scenario_for(t1, faults=scheduled, **kwargs)))
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +71,8 @@ def test_init_sim_resets_states(t1):
 
 
 def test_init_sim_rejects_fault_outside_horizon(t1):
-    bad = scenario_for(t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 10)])
     with pytest.raises(SimError, match="outside"):
-        simkernel.init_sim(bad)
+        scenario_for(t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 10)])
 
 
 def test_noise_config_deterministic_forces_zero_rates():
@@ -77,36 +85,28 @@ def test_noise_config_deterministic_forces_zero_rates():
 
 
 def test_inject_physical_failure_downs_component(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
+    state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     assert state.topology.link("l1").state is LinkState.DOWN
     assert state.active_faults == {("l1", FaultClass.PHYSICAL_FAILURE)}
 
 
-def test_inject_fault_idempotent(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    fault = FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0)
-    once = simkernel.inject_fault(state, fault)
-    twice = simkernel.inject_fault(once, fault)
+def test_repeated_fault_idempotent(t1):
+    fault = ("l1", FaultClass.PHYSICAL_FAILURE)
+    once, _ = faulted(t1, fault)
+    twice, _ = faulted(t1, fault, fault)
     assert once.active_faults == twice.active_faults
     assert once.topology == twice.topology
 
 
 def test_inject_agent_crash_keeps_forwarding_state(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(
-        state, FaultEvent("s1", FaultClass.OPENFLOW_AGENT_CRASH, 0)
-    )
+    state, _ = faulted(t1, ("s1", FaultClass.OPENFLOW_AGENT_CRASH))
     assert state.topology.node("s1").state is NodeState.UP
     assert ("s1", FaultClass.OPENFLOW_AGENT_CRASH) in state.active_faults
 
 
 def test_inject_incompatible_fault_rejected(t1):
-    state = simkernel.init_sim(scenario_for(t1))
     with pytest.raises(SimError, match="incompatible"):
-        simkernel.inject_fault(
-            state, FaultEvent("h1", FaultClass.OPENFLOW_AGENT_CRASH, 0)
-        )
+        scenario_for(t1, faults=[FaultEvent("h1", FaultClass.OPENFLOW_AGENT_CRASH, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +121,7 @@ def test_step_quiescent_emits_nothing(t1):
 
 
 def test_step_link_failure_alarms(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
-    state, symptoms = drain(state)
+    state, symptoms = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     assert symptoms == {
         (Symptom.LINK_DOWN, "l1"),
         (Symptom.TRAFFIC_DROP, "l1"),
@@ -132,9 +130,7 @@ def test_step_link_failure_alarms(t1):
 
 
 def test_step_node_failure_alarms(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("s1", FaultClass.PHYSICAL_FAILURE, 0))
-    state, symptoms = drain(state)
+    state, symptoms = faulted(t1, ("s1", FaultClass.PHYSICAL_FAILURE))
     assert symptoms == {
         (Symptom.NODE_UNREACHABLE, "s1"),
         (Symptom.LINK_DOWN, "l1"),
@@ -145,18 +141,12 @@ def test_step_node_failure_alarms(t1):
 
 
 def test_step_agent_crash_only_control_symptom(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(
-        state, FaultEvent("s1", FaultClass.OPENFLOW_AGENT_CRASH, 0)
-    )
-    state, symptoms = drain(state)
+    state, symptoms = faulted(t1, ("s1", FaultClass.OPENFLOW_AGENT_CRASH))
     assert symptoms == {(Symptom.OF_SESSION_LOST, "s1")}
 
 
 def test_step_controller_crash_hits_every_switch(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("c0", FaultClass.CONTROLLER_CRASH, 0))
-    state, symptoms = drain(state)
+    state, symptoms = faulted(t1, ("c0", FaultClass.CONTROLLER_CRASH))
     assert symptoms == {
         (Symptom.OF_SESSION_LOST, "s1"),
         (Symptom.OF_SESSION_LOST, "s2"),
@@ -165,11 +155,7 @@ def test_step_controller_crash_hits_every_switch(t1):
 
 
 def test_step_traffic_drop_alarms(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(
-        state, FaultEvent("l1", FaultClass.INTERFACE_TRAFFIC_DROP, 0)
-    )
-    state, symptoms = drain(state)
+    state, symptoms = faulted(t1, ("l1", FaultClass.INTERFACE_TRAFFIC_DROP))
     assert symptoms == {
         (Symptom.TRAFFIC_DROP, "l1"),
         (Symptom.SLA_VIOLATION, "v1"),
@@ -186,6 +172,22 @@ def test_step_injects_scheduled_faults(t1):
     assert ("v1", FaultClass.SERVICE_FAULT) in state.active_faults
 
 
+def test_scenario_sorts_faults_however_built(t1):
+    # listed out of order, as a Scenario built directly may list them
+    scenario = scenario_for(
+        t1,
+        faults=[
+            FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 5),
+            FaultEvent("v1", FaultClass.SERVICE_FAULT, 2),
+        ],
+    )
+    state = simkernel.init_sim(scenario)
+    for _ in range(3):
+        state, _ = simkernel.step(state)
+    assert state.active_faults == {("v1", FaultClass.SERVICE_FAULT)}
+    assert [f.at_tick for f in scenario.faults] == [2, 5]
+
+
 def test_step_beyond_horizon_rejected(t1):
     state = simkernel.init_sim(scenario_for(t1, horizon=1))
     state, _ = simkernel.step(state)
@@ -200,14 +202,14 @@ def test_zero_horizon_rejected(t1):
 
 def test_active_fault_re_emits_every_tick(t1):
     """Deterministic completeness: the full generative set every tick."""
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
+    state, symptoms = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     expected = {
         (Symptom.LINK_DOWN, "l1"),
         (Symptom.TRAFFIC_DROP, "l1"),
         (Symptom.SERVICE_DOWN, "v1"),
     }
-    for _ in range(4):
+    assert symptoms == expected
+    for _ in range(3):
         state, symptoms = drain(state)
         assert symptoms == expected
 
@@ -323,8 +325,7 @@ def test_fault_conservation(t1):
 
 
 def test_observe_service_down_on_path_failure(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
+    state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     assert simkernel.observe_service(state, "v1") is ServiceState.DOWN
 
 
@@ -334,10 +335,7 @@ def test_observe_service_up_quiescent(t1):
 
 
 def test_observe_service_degraded_on_drop(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(
-        state, FaultEvent("l1", FaultClass.INTERFACE_TRAFFIC_DROP, 0)
-    )
+    state, _ = faulted(t1, ("l1", FaultClass.INTERFACE_TRAFFIC_DROP))
     assert simkernel.observe_service(state, "v1") is ServiceState.DEGRADED
 
 
@@ -354,19 +352,19 @@ def test_observe_service_noise_flip(t1):
     state = simkernel.init_sim(scenario_for(t1, noise=noise))
     assert simkernel.observe_service(state, "v1") is ServiceState.DOWN
     assert simkernel.observe_service(state, "v1") is ServiceState.DOWN
-    downed = simkernel.inject_fault(
-        state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0)
-    )
+    downed, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE), noise=noise)
     assert simkernel.observe_service(downed, "v1") is ServiceState.UP
 
 
 def test_observe_service_matches_generative_table_for_all_single_faults(t1):
     """Deterministic mode: a down reading iff a service fault is active or a
     path component is down, exhaustively over single faults on T1."""
+    component_ids = [c.id for c in (*t1.nodes, *t1.links, *t1.services)]
     for fault_class in FaultClass:
-        for target in compatible_fault_targets(t1, fault_class):
-            state = simkernel.init_sim(scenario_for(t1))
-            state = simkernel.inject_fault(state, FaultEvent(target, fault_class, 0))
+        for target in component_ids:
+            if not taxonomy.is_compatible(t1, target, fault_class):
+                continue
+            state, _ = faulted(t1, (target, fault_class))
             reading = simkernel.observe_service(state, "v1")
             on_path = target in t1.service("v1").path
             if fault_class is FaultClass.SERVICE_FAULT or (
@@ -384,8 +382,7 @@ def test_observe_service_matches_generative_table_for_all_single_faults(t1):
 
 
 def test_reroute_swaps_path(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
+    state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     action = RecoveryAction(
         kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)}
     )
@@ -409,8 +406,7 @@ def test_reroute_without_alternative_fails_gracefully(t1):
 
 
 def test_restart_service_clears_fault_next_tick(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("v1", FaultClass.SERVICE_FAULT, 0))
+    state, _ = faulted(t1, ("v1", FaultClass.SERVICE_FAULT))
     state, outcome = simkernel.apply_action(
         state, RecoveryAction(kind=ActionKind.RESTART_SERVICE, target="v1")
     )
@@ -422,11 +418,9 @@ def test_restart_service_clears_fault_next_tick(t1):
 
 
 def test_restart_agent_and_failover_clear_next_tick(t1):
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(
-        state, FaultEvent("s1", FaultClass.OPENFLOW_AGENT_CRASH, 0)
+    state, _ = faulted(
+        t1, ("s1", FaultClass.OPENFLOW_AGENT_CRASH), ("c0", FaultClass.CONTROLLER_CRASH)
     )
-    state = simkernel.inject_fault(state, FaultEvent("c0", FaultClass.CONTROLLER_CRASH, 0))
     state, _ = simkernel.apply_action(
         state, RecoveryAction(kind=ActionKind.RESTART_OPENFLOW_AGENT, target="s1")
     )
@@ -438,8 +432,7 @@ def test_restart_agent_and_failover_clear_next_tick(t1):
 
 
 def test_repair_ticket_restores_component_after_delay(t1):
-    state = simkernel.init_sim(scenario_for(t1, repair_delay=3))
-    state = simkernel.inject_fault(state, FaultEvent("la", FaultClass.PHYSICAL_FAILURE, 0))
+    state, _ = faulted(t1, ("la", FaultClass.PHYSICAL_FAILURE), repair_delay=3)
     state, outcome = simkernel.apply_action(
         state, RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="la")
     )
@@ -455,16 +448,19 @@ def test_repair_ticket_restores_component_after_delay(t1):
 def test_repair_and_restart_tickets_due_on_one_tick(t1):
     # a repair ticket carries no fault class; sorting it against a restart
     # ticket for the same switch and tick must not compare None with a class
-    state = simkernel.init_sim(scenario_for(t1, repair_delay=1))
-    state = simkernel.inject_fault(state, FaultEvent("s1", FaultClass.PHYSICAL_FAILURE, 0))
-    state = simkernel.inject_fault(state, FaultEvent("s1", FaultClass.OPENFLOW_AGENT_CRASH, 0))
+    state, _ = faulted(
+        t1,
+        ("s1", FaultClass.PHYSICAL_FAILURE),
+        ("s1", FaultClass.OPENFLOW_AGENT_CRASH),
+        repair_delay=1,
+    )
     state, _ = simkernel.apply_action(
         state, RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="s1")
     )
     state, _ = simkernel.apply_action(
         state, RecoveryAction(kind=ActionKind.RESTART_OPENFLOW_AGENT, target="s1")
     )
-    assert {ready for _, ready, _ in state.repair_tickets} == {1}
+    assert {ready for _, ready, _ in state.repair_tickets} == {state.tick + 1}
     state, _ = simkernel.step(state)
     assert state.active_faults == frozenset()
     assert state.repair_tickets == frozenset()
@@ -541,8 +537,7 @@ def test_scenario_vocabulary_holds_after_reroute_and_rehoming(t1):
             taxonomy.symptom_vocabulary(state.topology)
         )
 
-    state = simkernel.init_sim(scenario_for(t1))
-    state = simkernel.inject_fault(state, FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0))
+    state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     state, outcome = simkernel.apply_action(
         state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
     )
@@ -569,17 +564,10 @@ def test_load_scenario_inline_topology(t1_doc):
         "seed": 7,
         "horizon": 10,
     }
-    scenario = simkernel.load_scenario(json.dumps(doc))
+    scenario = simkernel.load_scenario(doc)
     assert scenario.seed == 7
     assert scenario.faults[0].fault_class is FaultClass.PHYSICAL_FAILURE
     simkernel.init_sim(scenario)
-
-
-def test_load_scenario_topology_file_reference(tmp_path, t1_doc):
-    (tmp_path / "topo.json").write_text(json.dumps(t1_doc))
-    doc = {"schema-version": 1, "topology": "topo.json", "seed": 1, "horizon": 5}
-    scenario = simkernel.load_scenario(json.dumps(doc), base_dir=tmp_path)
-    assert len(scenario.topology.nodes) == 6
 
 
 def test_load_scenario_unknown_fault_class(t1_doc):
@@ -590,4 +578,4 @@ def test_load_scenario_unknown_fault_class(t1_doc):
         "horizon": 5,
     }
     with pytest.raises(SimError, match="unknown fault class"):
-        simkernel.load_scenario(json.dumps(doc))
+        simkernel.load_scenario(doc)
