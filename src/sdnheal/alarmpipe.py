@@ -118,13 +118,13 @@ def to_evidence(
     every other symptom variable is observed false; under open-world the
     rest stay unobserved.
     """
-    symptom_ids = set(bn.symptom_ids)
+    symptoms = bn.compiled.symptoms
     evidence: EvidenceMap = {}
     if policy is EvidencePolicy.CLOSED_WORLD:
-        evidence = {sid: False for sid in symptom_ids}
+        evidence = dict.fromkeys(bn.symptom_ids, False)
     for alarm in window:
         var = bndiag.symptom_var_id(alarm.symptom, alarm.emitter)
-        if var not in symptom_ids:
+        if var not in symptoms:
             raise EvidenceError(
                 f"alarm {alarm.symptom.value}({alarm.emitter}) has no symptom "
                 "variable; topology and network disagree"

@@ -17,10 +17,18 @@ finding folds into unary factors on its parents, and each positive
 finding with k >= 2 parents becomes one auxiliary variable with k
 pairwise factors (the two-term noisy-OR factorization of Diez & Galan
 2003). Faults that no such finding couples get closed-form posteriors;
-min-fill variable elimination runs over the rest, so the cost grows with
-the positive findings, not with a symptom's parent count. Two oracles
-that share no code with it check it: brute-force joint enumeration (up
-to 20 variables) and Quickscore (Heckerman 1989; up to 16 positive
+min-fill variable elimination runs over the rest.
+
+What no evidence changes is compiled once per network, on first use
+(`BayesNet.compiled`): each symptom's parents and q values, and for each
+fault its "resting" posterior, the one it has when no observed finding
+touches it: its prior under open-world evidence, and under closed-world
+evidence its prior folded with every child's q (all of them negative). A call then builds factors only for the positive
+findings and the faults they touch (any observed finding, under partial
+evidence) and copies the resting pairs of the rest, as Quickscore
+(Heckerman 1989) and Jaakkola & Jordan (1999) pay only for positive
+findings. Two oracles that share no code with it check it: brute-force
+joint enumeration (up to 20 variables) and Quickscore (up to 16 positive
 findings).
 """
 
@@ -30,6 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -103,13 +112,18 @@ class BayesNet:
     priors: dict[str, float]
     cpts: dict[str, NoisyOrCpt]
 
-    @property
-    def fault_ids(self) -> list[str]:
-        return [v.id for v in self.variables if v.kind == "fault"]
+    @cached_property
+    def fault_ids(self) -> tuple[str, ...]:
+        return tuple(v.id for v in self.variables if v.kind == "fault")
 
-    @property
-    def symptom_ids(self) -> list[str]:
-        return [v.id for v in self.variables if v.kind == "symptom"]
+    @cached_property
+    def symptom_ids(self) -> tuple[str, ...]:
+        return tuple(v.id for v in self.variables if v.kind == "symptom")
+
+    @cached_property
+    def compiled(self) -> CompiledNet:
+        """Built on the first use and kept with this network object only."""
+        return CompiledNet(self)
 
 
 @dataclass(frozen=True)
@@ -322,50 +336,126 @@ def aux_var_id(symptom_id: str) -> str:
     return f"aux:{symptom_id}"
 
 
+@dataclass(frozen=True)
+class Resting:
+    """Posteriors of the faults that no observed finding touches."""
+
+    # every fault, in id order; None where the pair has no mass
+    pairs: dict[str, tuple[float, float] | None]
+    # faults with a None pair: evidence that leaves one untouched is impossible
+    void: frozenset[str]
+
+
+def _resting(priors: dict[str, float], on: dict[str, float]) -> Resting:
+    pairs: dict[str, tuple[float, float] | None] = {}
+    for fid in sorted(on):
+        off = 1.0 - priors[fid]
+        z = off + on[fid]  # normalized as `_normalized` does, without raising
+        pairs[fid] = (off / z, on[fid] / z) if z > 0.0 else None
+    return Resting(pairs, frozenset(fid for fid, pair in pairs.items() if pair is None))
+
+
+class CompiledNet:
+    """What inference needs of a network that no evidence changes.
+
+    Built once per network (`BayesNet.compiled`). The per-fault parts are
+    built on first use, so a network diagnosed once pays only for what its
+    evidence reads: open-world evidence never needs a fault's children.
+    Nothing here raises; a parameter that makes some evidence impossible
+    surfaces only in a call with that evidence.
+    """
+
+    def __init__(self, bn: BayesNet) -> None:
+        self.priors = bn.priors
+        self.symptoms = frozenset(bn.symptom_ids)
+        self.rank = {fid: i for i, fid in enumerate(bn.fault_ids)}  # network order
+        # per symptom: its parents, their q = 1 - p, and 1 - leak
+        self.findings: dict[str, tuple[tuple[str, ...], tuple[float, ...], float]] = {}
+        for sid in bn.symptom_ids:
+            cpt = bn.cpts[sid]
+            qs = tuple([1.0 - p for p in cpt.link_probabilities])
+            self.findings[sid] = (cpt.parents, qs, 1.0 - cpt.leak)
+        # symptoms with leak 1: a negative one is impossible
+        self.certain = tuple(sid for sid, (_, _, stay) in self.findings.items() if not stay > 0.0)
+
+    @cached_property
+    def children(self) -> dict[str, list[tuple[str, float]]]:
+        """Per fault, in network order: (child symptom, q) for each child."""
+        children: dict[str, list[tuple[str, float]]] = {fid: [] for fid in self.rank}
+        for sid, (parents, qs, _) in self.findings.items():
+            for parent, q in zip(parents, qs):
+                children[parent].append((sid, q))
+        return children
+
+    @cached_property
+    def open(self) -> Resting:
+        """No child observed: every fault at its prior."""
+        return _resting(self.priors, {fid: self.priors[fid] for fid in self.rank})
+
+    @cached_property
+    def closed(self) -> Resting:
+        """Every child a negative finding: the prior times every child's q,
+        in sorted order."""
+        return _resting(self.priors, {
+            fid: math.prod(sorted(q for _, q in kids), start=self.priors[fid])
+            for fid, kids in self.children.items()
+        })
+
+    def observes_all(self, evidence: EvidenceMap) -> bool:
+        """Whether evidence on symptoms only is closed-world."""
+        return len(evidence) == len(self.symptoms)
+
+
 def compile_factors(bn: BayesNet, evidence: EvidenceMap) -> list[Factor]:
-    """Small factors whose product, summed over the auxiliary variables,
-    is P(faults, evidence).
+    """The factors one call builds. Their product, summed over the auxiliary
+    variables and times the resting pairs of the faults they leave out
+    (`CompiledNet`), is proportional to P(faults, evidence).
 
     Three exact noisy-OR reductions, with q_i = 1 - p_i per parent:
     - an unobserved symptom is barren and contributes nothing;
     - a negative finding is P(s=0 | pa) = (1-leak) * prod_i q_i^x_i, so
-      each q_i folds into its parent's unary factor and (1-leak) into one
-      constant factor;
+      each q_i folds into its parent's unary factor and (1-leak) is a
+      constant, which matters only when it is 0: the evidence is then
+      impossible;
     - a positive finding with one parent is a unary factor. With k >= 2
       parents, P(s=1 | pa) = sum over y of f(y) * prod_i g_i(x_i, y)
       (Diez & Galan 2003) with one auxiliary binary y, f = [1, -(1-leak)]
       and g_i = [[1, 1], [1, q_i]].
-    No factor has more than two variables. Each fault's unary factor is
-    its prior times its q_i in sorted order, so faults whose inputs are
-    equal get bit-identical factors.
+    No factor has more than two variables. A fault gets a unary factor
+    only when a positive finding touches it (under partial evidence, any
+    observed finding); every other fault keeps its resting pair. That
+    factor is its prior times its negative children's q_i in sorted
+    order, as in the resting pairs, so faults whose inputs are equal get
+    bit-identical posteriors.
     """
-    symptom_ids = set(bn.symptom_ids)
-    for key in evidence:
-        if key not in symptom_ids:
-            raise BnError(f"evidence key is not a symptom variable: {key}")
+    net = bn.compiled
+    if not net.symptoms.issuperset(evidence):
+        key = next(k for k in evidence if k not in net.symptoms)
+        raise BnError(f"evidence key is not a symptom variable: {key}")
+    for sid in net.certain:
+        if sid in evidence and not evidence[sid]:
+            raise ImpossibleEvidenceError("evidence has zero probability under the network")
 
-    misses: dict[str, list[float]] = {fid: [] for fid in bn.fault_ids}
-    constant = 1.0
+    positive = sorted(sid for sid, seen in evidence.items() if seen)
+    observed = positive if net.observes_all(evidence) else evidence
+    touched = {parent for sid in observed for parent in net.findings[sid][0]}
     factors = []
-    for sid in sorted(evidence):
-        cpt = bn.cpts[sid]
-        stay = 1.0 - cpt.leak
-        qs = [1.0 - p for p in cpt.link_probabilities]
-        if not evidence[sid]:
-            constant *= stay
-            for parent, q in zip(cpt.parents, qs):
-                misses[parent].append(q)
-        elif len(qs) == 1:
-            factors.append(Factor(cpt.parents, np.array([1.0 - stay, 1.0 - stay * qs[0]])))
+    for sid in positive:
+        parents, qs, stay = net.findings[sid]
+        if len(qs) == 1:
+            factors.append(Factor(parents, np.array([1.0 - stay, 1.0 - stay * qs[0]])))
         else:
             aux = aux_var_id(sid)
             factors.append(Factor((aux,), np.array([1.0, -stay])))
-            for parent, q in zip(cpt.parents, qs):
+            for parent, q in zip(parents, qs):
                 factors.append(Factor((parent, aux), np.array([[1.0, 1.0], [1.0, q]])))
-    for fid, qs in misses.items():
+    negative = len(positive) < len(evidence)  # else no children to read
+    for fid in sorted(touched, key=net.rank.__getitem__):
         p = bn.priors[fid]
-        factors.append(Factor((fid,), np.array([1.0 - p, math.prod(sorted(qs), start=p)])))
-    factors.append(Factor((), np.array(constant)))
+        qs = sorted(
+            q for sid, q in net.children[fid] if sid in evidence and not evidence[sid]
+        ) if negative else []
+        factors.append(Factor((fid,), np.array([1.0 - p, math.prod(qs, start=p)])))
     return factors
 
 
@@ -471,30 +561,35 @@ def _normalized(off: float, on: float) -> tuple[float, float]:
 def posterior_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     """Exact P(fault | evidence) for every fault variable.
 
-    A fault that shares no factor with an auxiliary variable is
-    independent of every other fault given the evidence: its posterior is
-    the normalized product of its unary factors, taken in sorted order so
-    that posteriors equal in exact arithmetic come out bit-identical. The
-    other faults and the auxiliary variables go through one variable-
-    elimination sweep along a min-fill order. A reverse sweep then sends
-    each bucket the product of everything outside its subtree, so every
-    fault marginal is read off its own bucket. A bucket with many children
-    (a controller crash makes a star) builds those messages from prefix
-    and suffix products, in time linear in the number of children.
+    A fault that no observed finding touches keeps its resting pair, which
+    the network compiled once (closed-world evidence observes every
+    symptom; any other evidence leaves such a fault at its prior). A fault
+    that shares no factor with an auxiliary variable is independent of
+    every other fault given the evidence: its posterior is the normalized
+    product of its unary factors, taken in sorted order so that posteriors
+    equal in exact arithmetic come out bit-identical. The other faults and
+    the auxiliary variables go through one variable-elimination sweep
+    along a min-fill order. A reverse sweep then sends each bucket the
+    product of everything outside its subtree, so every fault marginal is
+    read off its own bucket. A bucket with many children (a controller
+    crash makes a star) builds those messages from prefix and suffix
+    products, in time linear in the number of children.
     """
+    net = bn.compiled
     factors = compile_factors(bn, evidence)
+    resting = net.closed if net.observes_all(evidence) else net.open
     linked = {v for f in factors if len(f.scope) > 1 for v in f.scope}
-    alone: dict[str, list[list[float]]] = {f: [] for f in bn.fault_ids if f not in linked}
+    alone: dict[str, list[list[float]]] = {}
     joint: list[Factor] = []
     for f in factors:
-        if not f.scope:
-            _evidence_mass(float(f.table))
-        elif f.scope[0] in alone:
-            alone[f.scope[0]].append(f.table.tolist())
-        else:
+        if f.scope[0] in linked:
             joint.append(f)
+        else:
+            alone.setdefault(f.scope[0], []).append(f.table.tolist())
+    if any(fid not in alone and fid not in linked for fid in resting.void):
+        raise ImpossibleEvidenceError("evidence has zero probability under the network")
 
-    pairs: dict[str, tuple[float, float]] = {}
+    pairs = dict(resting.pairs)  # in id order, which the updates keep
     for fid, tables in alone.items():
         off, on = 1.0, 1.0
         for f_off, f_on in sorted(tables):
@@ -560,7 +655,7 @@ def posterior_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
             rest = prefix[j] if suffix is None else multiply(prefix[j], suffix)
             buckets[child].append(_project(rest, message.scope))
             suffix = message if suffix is None else multiply(message, suffix)
-    return Posterior(pairs={fid: pairs[fid] for fid in sorted(pairs)})
+    return Posterior(pairs=pairs)
 
 
 def enumerate_joint(bn: BayesNet, evidence: EvidenceMap) -> Posterior:

@@ -23,11 +23,16 @@ each alarm is independently dropped with the configured loss probability
 and spurious alarms are drawn (Poisson-distributed per tick) uniformly
 from the topology's symptom vocabulary, all from the seeded generator.
 
-The generator lives in `SimState.rng_state`. A stochastic step restores it
-into a constant-seeded `random.Random` (never one seeded from the OS) and
-stores its state after the tick's draws; a deterministic step draws
-nothing and builds no generator, so the state passes through unchanged.
-The vocabulary is computed once per scenario (`Scenario.vocabulary`).
+A run draws from one live `random.Random`, seeded from the scenario by
+`init_sim` (never from the OS). Each state holds it (`SimState.rng`), and
+a stochastic step advances it in place and hands it to the state it
+returns, so no generator state is copied per tick. Only the newest state
+may draw from it or read it (`SimState.rng_state`, the 625-word
+`getstate` tuple, which state equality compares): stepping or reading a
+state after a later step has advanced its generator raises `SimError`
+rather than silently drawing other numbers. A deterministic step draws
+nothing and passes the hold on unchanged. The vocabulary is computed
+once per scenario (`Scenario.vocabulary`).
 
 A `Scenario` keeps its faults sorted by (tick, target) and is validated
 when it is built, however it is built. The module does no file I/O:
@@ -117,6 +122,38 @@ class Scenario:
         return tuple(taxonomy.symptom_vocabulary(self.topology))
 
 
+class RngHold:
+    """One state's hold on its run's live generator, until a step advances it."""
+
+    __slots__ = ("_rng", "_spent")
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._spent = False
+
+    def live(self) -> random.Random:
+        if self._spent:
+            raise SimError("stale state: a later step has advanced its generator")
+        return self._rng
+
+    def advance(self) -> tuple[random.Random, RngHold]:
+        """The generator to draw one step from, and the next state's hold."""
+        rng = self.live()
+        self._spent = True
+        return rng, RngHold(rng)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RngHold):
+            return NotImplemented
+        return self.live().getstate() == other.live().getstate()
+
+    def __hash__(self) -> int:
+        return hash(self.live().getstate())
+
+    def __repr__(self) -> str:
+        return f"RngHold(spent={self._spent})"
+
+
 @dataclass(frozen=True)
 class SimState:
     scenario: Scenario
@@ -125,8 +162,13 @@ class SimState:
     active_faults: frozenset[tuple[str, FaultClass]]
     # (component, ready-at tick, fault class to clear; None clears them all)
     repair_tickets: frozenset[tuple[str, int, FaultClass | None]]
-    rng_state: tuple
+    rng: RngHold
     next_fault_index: int = 0
+
+    @property
+    def rng_state(self) -> tuple:
+        """The generator's state (`random.Random.getstate`) at this state."""
+        return self.rng.live().getstate()
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -205,14 +247,13 @@ def init_sim(scenario: Scenario) -> SimState:
     for service in topology.services:
         if service.state is not ServiceState.UP:
             topology = netmodel.set_component_state(topology, service.id, "up")
-    rng = random.Random(scenario.seed)
     return SimState(
         scenario=scenario,
         tick=0,
         topology=topology,
         active_faults=frozenset(),
         repair_tickets=frozenset(),
-        rng_state=rng.getstate(),
+        rng=RngHold(random.Random(scenario.seed)),
         next_fault_index=0,
     )
 
@@ -297,20 +338,19 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     tick = state.tick + 1
     noise = scenario.noise
     stochastic = noise.mode is NoiseMode.STOCHASTIC
+    hold = state.rng
     if stochastic:
-        rng = random.Random(0)  # a constant seed: setstate replaces it anyway
-        rng.setstate(state.rng_state)
+        rng, hold = hold.advance()
 
     topology = state.topology
     active = set(state.active_faults)
-    tickets = set(state.repair_tickets)
+    due = [ticket for ticket in state.repair_tickets if ticket[1] <= tick]
+    tickets = state.repair_tickets.difference(due) if due else state.repair_tickets
     # a repair ticket (fault class None) and a restart ticket can share a
     # component and a due tick, so the fault class needs an explicit key
-    for ticket in sorted(tickets, key=lambda t: (t[0], t[1], "" if t[2] is None else t[2].value)):
-        component, ready_at, fault_class = ticket
-        if ready_at > tick:
-            continue
-        tickets.discard(ticket)
+    for component, _, fault_class in sorted(
+        due, key=lambda t: (t[0], t[1], "" if t[2] is None else t[2].value)
+    ):
         if fault_class is None:
             active = {(c, fc) for (c, fc) in active if c != component}
             if netmodel.component_category(topology, component) in ("node", "link"):
@@ -330,24 +370,24 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     for target, fault_class in active:
         symptoms |= symptoms_for_fault(topology, target, fault_class)
 
-    alarms: list[RawAlarm] = []
-    for symptom, emitter in sorted(symptoms):
-        if stochastic and rng.random() < noise.alarm_loss_probability:
-            continue
-        alarms.append(_raw_alarm(symptom, emitter, tick))
+    emitted = sorted(symptoms)
+    if stochastic:  # one loss draw per symptom, whatever the probability
+        draw, loss = rng.random, noise.alarm_loss_probability
+        emitted = [key for key in emitted if not draw() < loss]
+    alarms = [_raw_alarm(symptom, emitter, tick) for symptom, emitter in emitted]
     if stochastic and noise.spurious_alarm_rate > 0.0:
         vocabulary = scenario.vocabulary
         for _ in range(_poisson(rng, noise.spurious_alarm_rate)):
             symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
             alarms.append(_raw_alarm(symptom, emitter, tick))
 
-    new_state = replace(
-        state,
+    new_state = SimState(
+        scenario=scenario,
         tick=tick,
         topology=topology,
         active_faults=frozenset(active),
-        repair_tickets=frozenset(tickets),
-        rng_state=rng.getstate() if stochastic else state.rng_state,
+        repair_tickets=tickets,
+        rng=hold,
         next_fault_index=index,
     )
     return new_state, alarms

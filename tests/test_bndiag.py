@@ -1,5 +1,9 @@
+import functools
+import hashlib
+import itertools
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,7 +190,11 @@ def test_params_validate_ranges():
 
 
 def test_compile_prior_factor(bn2):
-    factors = bndiag.compile_factors(bn2, {})
+    # a fault no finding touches rests at its prior; one that only a
+    # positive finding touches gets its prior as its unary factor
+    assert bndiag.compile_factors(bn2, {}) == []
+    assert np.allclose(bn2.compiled.open.pairs["fault:service:A"], [0.99, 0.01])
+    factors = bndiag.compile_factors(bn2, {"symptom:service-down:Y": True})
     prior = next(f for f in factors if f.scope == ("fault:service:A",))
     assert np.allclose(prior.table, [0.99, 0.01])
 
@@ -434,8 +442,10 @@ def test_unary_factors_fold_negative_findings_and_drop_barren_symptoms():
     unary = {f.scope[0]: f.table for f in factors if f.scope}
     assert set(unary) == {"fault:service:A", "fault:service:B"}  # Z is barren
     assert np.allclose(unary["fault:service:A"], [0.99, 0.01 * 0.1])
-    constant = next(f.table for f in factors if not f.scope)
-    assert constant == pytest.approx(0.999, abs=1e-15)
+    # the negative finding's constant (1 - leak) is never multiplied in;
+    # it is compiled with the symptom and only checked against zero
+    _, _, stay = bn.compiled.findings["symptom:service-down:Y"]
+    assert stay == pytest.approx(0.999, abs=1e-15)
 
 
 def test_positive_finding_with_two_parents_gets_one_auxiliary_variable(bn2):
@@ -584,9 +594,14 @@ def _assert_matches_quickscore(bn, evidence):
         assert engine.marginal(fid) == pytest.approx(oracle.marginal(fid), abs=1e-9), fid
 
 
+@functools.cache
+def _scale_topology(n_nodes):
+    return random_topology(7777, n_nodes=n_nodes, n_services=n_nodes // 5)
+
+
 @pytest.mark.parametrize("n_nodes", [100, 200, 400])
 def test_link_incidents_match_quickscore_at_scale(n_nodes):
-    topo = random_topology(7777, n_nodes=n_nodes, n_services=n_nodes // 5)
+    topo = _scale_topology(n_nodes)
     bn = bndiag.build_bn(topo)
     link = topo.services[0].path[3]
     evidence = _incident_evidence(topo, bn, link)
@@ -675,3 +690,132 @@ def test_build_bn_structure_on_random_topologies(t1):
                         expected.add(f"fault:agent:{member}")
             assert parents == expected, service.id
         assert all(set(bn.cpts[s].parents) <= fault_ids for s in bn.symptom_ids)
+
+
+# ---------------------------------------------------------------------------
+# the compiled network
+
+
+def _policy_variants(closed):
+    """Closed-world evidence, its open-world positives, and a mix that keeps
+    every other negative finding (in id order) and leaves the rest unobserved."""
+    positives = {sid: True for sid, seen in closed.items() if seen}
+    negatives = sorted(sid for sid, seen in closed.items() if not seen)
+    return closed, positives, {**positives, **dict.fromkeys(negatives[::2], False)}
+
+
+def _posterior_sweep(t1):
+    """(network, evidence) pairs: the criterion 1 networks, then incidents on
+    T1 and on 100-, 200- and 400-node topologies, each under three policies."""
+    rng = random.Random(20250810)  # the networks of acceptance criterion 1
+    for _ in range(200):
+        bn = random_noisy_or_bn(rng, max_vars=12, max_parents=4)
+        drawn = random_evidence(rng, bn)
+        closed = {sid: drawn.get(sid, False) for sid in bn.symptom_ids}
+        for evidence in _policy_variants(closed):
+            yield bn, evidence
+        yield bn, drawn
+    for topo in (t1, *(_scale_topology(n) for n in (100, 200, 400))):
+        bn = bndiag.build_bn(topo)
+        faults = bn.fault_ids
+        for fid in faults if topo is t1 else faults[:: len(faults) // 8]:
+            fault_class, target = bndiag.parse_fault_var(fid)
+            for evidence in _policy_variants(_incident_evidence(topo, bn, target, fault_class)):
+                yield bn, evidence
+
+
+# Recorded before the network was compiled once per network; no posterior
+# may move by a bit, and the same evidence must stay impossible.
+POSTERIOR_SWEEP_SHA1 = "d1213636e92b68a74b00f091fcd4486dd8822d64"
+
+
+def test_posterior_sweep_pinned(t1):
+    digest = hashlib.sha1()
+    for bn, evidence in _posterior_sweep(t1):
+        try:
+            line = repr(posterior_marginals(bn, evidence).pairs)
+        except ImpossibleEvidenceError:
+            line = "impossible"
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == POSTERIOR_SWEEP_SHA1
+
+
+def test_network_compiles_once_across_calls(t1, monkeypatch):
+    compiled = []
+    real = bndiag.CompiledNet
+    monkeypatch.setattr(bndiag, "CompiledNet", lambda bn: compiled.append(bn) or real(bn))
+    bn = bndiag.build_bn(t1)
+    for target in ("l1", "l2", "s1", "v1"):
+        fault_class = FaultClass.SERVICE_FAULT if target == "v1" else FaultClass.PHYSICAL_FAILURE
+        for evidence in _policy_variants(_incident_evidence(t1, bn, target, fault_class)):
+            posterior_marginals(bn, evidence)
+    assert len(compiled) == 1 and compiled[0] is bn
+
+
+def test_equal_networks_never_share_a_compiled_form(t1):
+    a, b = bndiag.build_bn(t1), bndiag.build_bn(t1)
+    assert a == b
+    assert a.compiled is not b.compiled
+    # a copy with other priors compiles its own resting pairs
+    fid = "fault:physical:l1"
+    raised = replace(a, priors={**a.priors, fid: 0.5})
+    assert raised.compiled.open.pairs[fid] == pytest.approx((0.5, 0.5))
+    assert a.compiled.open.pairs[fid] == pytest.approx((0.99, 0.01))
+    evidence = {sid: False for sid in a.symptom_ids}
+    _assert_matches_quickscore(raised, evidence)
+
+
+def _edge_case_bn(prior_f=1.0):
+    """F certainly raises Y, its only child, and is certainly active at
+    prior 1; Z always fires (leak 1)."""
+    def symptom(name, parents, strengths, leak):
+        sid = f"symptom:service-down:{name}"
+        cpt = bndiag.NoisyOrCpt(sid, tuple(f"fault:service:{p}" for p in parents), strengths, leak)
+        return bndiag.BnVariable(id=sid, kind="symptom", target=name), cpt
+
+    faults = tuple(bndiag.BnVariable(id=f"fault:service:{x}", kind="fault", target=x) for x in "FG")
+    symptoms = [
+        symptom("Y", "F", (1.0,), 0.0),
+        symptom("Z", "G", (0.7,), 1.0),
+        symptom("W", "FG", (0.5, 0.6), 0.01),
+    ]
+    return bndiag.BayesNet(
+        variables=faults + tuple(v for v, _ in symptoms),
+        priors={"fault:service:F": prior_f, "fault:service:G": 0.3},
+        cpts={cpt.child: cpt for _, cpt in symptoms},
+    )
+
+
+def test_compiling_never_raises_only_impossible_calls_do():
+    bn = _edge_case_bn()
+    net = bn.compiled  # the closed-world pair of F has no mass, yet no raise
+    assert net.open.void == set() and net.children
+    assert net.certain == ("symptom:service-down:Z",)
+    assert net.closed.void == {"fault:service:F"}
+    impossible = 0
+    for values in itertools.product((None, False, True), repeat=len(bn.symptom_ids)):
+        evidence = {sid: v for sid, v in zip(bn.symptom_ids, values) if v is not None}
+        try:
+            reference = enumerate_joint(bn, evidence)
+        except ImpossibleEvidenceError:
+            impossible += 1
+            with pytest.raises(ImpossibleEvidenceError):
+                posterior_marginals(bn, evidence)
+            continue
+        posterior = posterior_marginals(bn, evidence)
+        for fid in bn.fault_ids:
+            assert posterior.marginal(fid) == pytest.approx(reference.marginal(fid), abs=1e-9)
+    assert 0 < impossible < 27
+
+
+def test_negative_finding_with_certain_leak_is_impossible():
+    bn = _edge_case_bn(prior_f=0.2)
+    z, w = "symptom:service-down:Z", "symptom:service-down:W"
+    closed = {sid: False for sid in bn.symptom_ids}  # no fault touched
+    for evidence in ({z: False}, {z: False, w: True}, closed, {**closed, w: True}):
+        with pytest.raises(ImpossibleEvidenceError):
+            posterior_marginals(bn, evidence)
+        with pytest.raises(ImpossibleEvidenceError):
+            enumerate_joint(bn, evidence)
+        with pytest.raises(ImpossibleEvidenceError):
+            quickscore_marginals(bn, evidence)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from sdnheal import alarmpipe, bndiag, healloop, recover
+from sdnheal import alarmpipe, bndiag, healloop, recover, simkernel
 from sdnheal.alarmpipe import EvidencePolicy
 from sdnheal.bndiag import BnParams, Diagnosis, Posterior, Verdict
 from sdnheal.healloop import (
@@ -252,6 +252,34 @@ def test_loop_infers_each_window_once(t1, policy, monkeypatch):
     bn = bndiag.build_bn(scenario.topology)
     for record in report.records:
         assert record.posterior == bndiag.posterior_marginals(bn, record.evidence)
+
+
+def test_run_loop_calls_through_the_module_attributes(t1, monkeypatch):
+    # the benchmark reads a run's final state and its posteriors by
+    # wrapping these attributes with wrappers of these exact signatures
+    ticks, results = [], []
+    real_step, real_infer = simkernel.step, bndiag.posterior_marginals
+
+    def step(state):
+        result = real_step(state)
+        ticks.append(result[0].tick)
+        return result
+
+    def posterior_marginals(bn, evidence):
+        result = real_infer(bn, evidence)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(simkernel, "step", step)
+    monkeypatch.setattr(bndiag, "posterior_marginals", posterior_marginals)
+    scenario = noisy_three_fault_scenario(t1)
+    report = run_loop(scenario)
+    monkeypatch.undo()
+
+    assert ticks == list(range(1, scenario.horizon + 1))
+    assert report.records
+    inferred = {id(posterior) for posterior in results}
+    assert all(id(record.posterior) in inferred for record in report.records)
 
 
 def test_loop_config_validation():

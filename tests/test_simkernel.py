@@ -288,6 +288,40 @@ def test_deterministic_step_leaves_rng_state(t1):
         assert state.rng_state == initial
 
 
+def test_stepped_state_cannot_be_stepped_again(t1):
+    noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=1.0)
+    scenario = scenario_for(
+        t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 1)], noise=noise
+    )
+    first = simkernel.init_sim(scenario)
+    second, _ = simkernel.step(first)
+    # an action hands the same hold on; the generator has not moved
+    acted, _ = simkernel.apply_action(
+        second, RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="l1")
+    )
+    assert acted.rng_state == second.rng_state
+    third, _ = simkernel.step(acted)
+    for stale in (first, second, acted):
+        with pytest.raises(SimError, match="stale state"):
+            simkernel.step(stale)
+        with pytest.raises(SimError, match="stale state"):
+            stale.rng_state
+    # the newest state is untouched by those attempts
+    replayed = simkernel.init_sim(scenario)
+    for _ in range(2):
+        replayed, _ = simkernel.step(replayed)
+    assert replayed.rng_state == third.rng_state
+    simkernel.step(third)
+
+
+def test_deterministic_states_step_again(t1):
+    state, first = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
+    later, _ = drain(state)
+    _, again = drain(state)  # no generator moved, so the state stays valid
+    assert again == first
+    assert state.rng_state == later.rng_state
+
+
 def test_spurious_alarms_appear_with_high_rate(t1):
     noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=2.0)
     state = simkernel.init_sim(scenario_for(t1, noise=noise, seed=11))
