@@ -2,8 +2,11 @@
 
 Stands in for the NMS, the service manager, and the managed network:
 faults are injected on schedule, every tick each active fault emits the
-alarms of the generative table below, service status probes answer from
-the current topology state, and recovery actuations mutate it.
+alarms of the generative table below, and service status probes answer
+from the active faults. A state holds the network's structure, the active
+faults and the pending tickets; a component is down iff a physical
+failure is active on it (`SimState.down`). Only `reroute` and
+`load-balance-ap` replace `SimState.topology`, when a service path changes.
 
 Generative alarm table (per tick, per active fault):
 
@@ -18,10 +21,11 @@ Generative alarm table (per tick, per active fault):
     controller-crash           of-session-lost(s) for every OpenFlow switch
 
 An agent crash severs the control session only; installed flows keep
-forwarding, so no service symptom is generated for it. In stochastic mode
-each alarm is independently dropped with the configured loss probability
-and spurious alarms are drawn (Poisson-distributed per tick) uniformly
-from the topology's symptom vocabulary, all from the seeded generator.
+forwarding, so no service symptom is generated for it. Symptoms outside
+the monitoring vocabulary (a host's node-unreachable) are not emitted. In
+stochastic mode each alarm is independently dropped with the configured
+loss probability and spurious alarms are drawn (Poisson-distributed per
+tick) uniformly from that vocabulary, all from the seeded generator.
 
 A run draws from one live `random.Random`, seeded from the scenario by
 `init_sim` (never from the OS). Each state holds it (`SimState.rng`), and
@@ -50,9 +54,7 @@ from functools import cached_property
 from . import netmodel, taxonomy
 from .alarmpipe import RawAlarm
 from .netmodel import (
-    LinkState,
     NodeKind,
-    NodeState,
     ServiceState,
     Topology,
 )
@@ -116,10 +118,15 @@ class Scenario:
     def vocabulary(self) -> tuple[tuple[Symptom, str], ...]:
         """What spurious alarms are drawn from, for every state of the run.
 
-        It depends only on component ids and node kinds, which no state
-        change, reroute or access-point re-homing alters.
+        It depends only on component ids and node kinds, which no reroute
+        or access-point re-homing alters.
         """
         return tuple(taxonomy.symptom_vocabulary(self.topology))
+
+    @cached_property
+    def monitored(self) -> frozenset[tuple[Symptom, str]]:
+        """The vocabulary as a set: `step` emits no symptom outside it."""
+        return frozenset(self.vocabulary)
 
 
 class RngHold:
@@ -164,6 +171,13 @@ class SimState:
     repair_tickets: frozenset[tuple[str, int, FaultClass | None]]
     rng: RngHold
     next_fault_index: int = 0
+
+    @cached_property
+    def down(self) -> frozenset[str]:
+        """The components with an active physical failure."""
+        return frozenset(
+            c for c, fc in self.active_faults if fc is FaultClass.PHYSICAL_FAILURE
+        )
 
     @property
     def rng_state(self) -> tuple:
@@ -236,17 +250,11 @@ def _validate_scenario(s: Scenario) -> None:
 
 
 def init_sim(scenario: Scenario) -> SimState:
-    """Fresh state at tick 0: no faults, every component up, seeded RNG."""
+    """Fresh state at tick 0: no faults, every component state reset to up."""
     topology = scenario.topology
-    for node in topology.nodes:
-        if node.state is not NodeState.UP:
-            topology = netmodel.set_component_state(topology, node.id, "up")
-    for link in topology.links:
-        if link.state is not LinkState.UP:
-            topology = netmodel.set_component_state(topology, link.id, "up")
-    for service in topology.services:
-        if service.state is not ServiceState.UP:
-            topology = netmodel.set_component_state(topology, service.id, "up")
+    for component in (*topology.nodes, *topology.links, *topology.services):
+        if component.state.value != "up":
+            topology = netmodel.set_component_state(topology, component.id, "up")
     return SimState(
         scenario=scenario,
         tick=0,
@@ -256,18 +264,6 @@ def init_sim(scenario: Scenario) -> SimState:
         rng=RngHold(random.Random(scenario.seed)),
         next_fault_index=0,
     )
-
-
-def _apply_fault(
-    topology: Topology,
-    active: set[tuple[str, FaultClass]],
-    target: str,
-    fault_class: FaultClass,
-) -> Topology:
-    active.add((target, fault_class))
-    if fault_class is FaultClass.PHYSICAL_FAILURE:
-        topology = netmodel.set_component_state(topology, target, "down")
-    return topology
 
 
 def symptoms_for_fault(
@@ -319,8 +315,6 @@ def _raw_alarm(symptom: Symptom, emitter: str, tick: int) -> RawAlarm:
 
 
 def _poisson(rng: random.Random, rate: float) -> int:
-    if rate <= 0.0:
-        return 0
     threshold = math.exp(-rate)
     count = 0
     product = rng.random()
@@ -331,7 +325,10 @@ def _poisson(rng: random.Random, rate: float) -> int:
 
 
 def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
-    """Advance one tick: close due tickets, inject due faults, emit alarms."""
+    """Advance one tick: close due tickets, inject due faults, emit alarms.
+
+    Only the active faults and the tickets change; the topology is kept.
+    """
     scenario = state.scenario
     if state.tick >= scenario.horizon:
         raise SimError(f"horizon {scenario.horizon} exceeded")
@@ -342,35 +339,26 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     if stochastic:
         rng, hold = hold.advance()
 
-    topology = state.topology
     active = set(state.active_faults)
     due = [ticket for ticket in state.repair_tickets if ticket[1] <= tick]
     tickets = state.repair_tickets.difference(due) if due else state.repair_tickets
-    # a repair ticket (fault class None) and a restart ticket can share a
-    # component and a due tick, so the fault class needs an explicit key
-    for component, _, fault_class in sorted(
-        due, key=lambda t: (t[0], t[1], "" if t[2] is None else t[2].value)
-    ):
+    for component, _, fault_class in due:
         if fault_class is None:
             active = {(c, fc) for (c, fc) in active if c != component}
-            if netmodel.component_category(topology, component) in ("node", "link"):
-                topology = netmodel.set_component_state(topology, component, "up")
         else:
             active.discard((component, fault_class))
-            if fault_class is FaultClass.PHYSICAL_FAILURE:
-                topology = netmodel.set_component_state(topology, component, "up")
 
     index = state.next_fault_index
     while index < len(scenario.faults) and scenario.faults[index].at_tick <= tick:
         fault = scenario.faults[index]
-        topology = _apply_fault(topology, active, fault.target, fault.fault_class)
+        active.add((fault.target, fault.fault_class))
         index += 1
 
     symptoms: set[tuple[Symptom, str]] = set()
     for target, fault_class in active:
-        symptoms |= symptoms_for_fault(topology, target, fault_class)
+        symptoms |= symptoms_for_fault(state.topology, target, fault_class)
 
-    emitted = sorted(symptoms)
+    emitted = sorted(symptoms.intersection(scenario.monitored))
     if stochastic:  # one loss draw per symptom, whatever the probability
         draw, loss = rng.random, noise.alarm_loss_probability
         emitted = [key for key in emitted if not draw() < loss]
@@ -381,10 +369,9 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
             symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
             alarms.append(_raw_alarm(symptom, emitter, tick))
 
-    new_state = SimState(
-        scenario=scenario,
+    new_state = replace(
+        state,
         tick=tick,
-        topology=topology,
         active_faults=frozenset(active),
         repair_tickets=tickets,
         rng=hold,
@@ -396,34 +383,28 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
 def observe_service(state: SimState, service_id: str) -> ServiceState:
     """Probe one service: down beats degraded beats up.
 
-    Down iff a service fault is active on it or any path component is down;
-    degraded iff a traffic drop is active on a path link. In stochastic
-    mode the reading flips with the alarm-loss probability, using a
-    counter-based generator so probing never perturbs the stepping RNG.
+    Read from the active faults: down iff a service fault is active on it
+    or a path component is in `SimState.down`; degraded iff a traffic drop
+    is active on a path link. In stochastic mode the reading flips with
+    the alarm-loss probability, using a counter-based generator so probing
+    never perturbs the stepping RNG.
     """
-    topology = state.topology
     try:
-        service = topology.service(service_id)
+        service = state.topology.service(service_id)
     except KeyError:
         raise SimError(f"unknown service: {service_id}")
 
-    truth = ServiceState.UP
-    if (service_id, FaultClass.SERVICE_FAULT) in state.active_faults:
+    faults = state.active_faults
+    if (service_id, FaultClass.SERVICE_FAULT) in faults or not state.down.isdisjoint(
+        service.path
+    ):
         truth = ServiceState.DOWN
+    elif any(
+        (hop, FaultClass.INTERFACE_TRAFFIC_DROP) in faults for hop in service.path[1::2]
+    ):
+        truth = ServiceState.DEGRADED
     else:
-        for hop in service.path:
-            category = netmodel.component_category(topology, hop)
-            if category == "node" and topology.node(hop).state is NodeState.DOWN:
-                truth = ServiceState.DOWN
-                break
-            if category == "link" and topology.link(hop).state is LinkState.DOWN:
-                truth = ServiceState.DOWN
-                break
-        else:
-            for hop in service.path[1::2]:
-                if (hop, FaultClass.INTERFACE_TRAFFIC_DROP) in state.active_faults:
-                    truth = ServiceState.DEGRADED
-                    break
+        truth = ServiceState.UP
 
     noise = state.scenario.noise
     if noise.mode is NoiseMode.STOCHASTIC and noise.alarm_loss_probability > 0.0:
@@ -443,6 +424,17 @@ def _failure(action: RecoveryAction, detail: str) -> ActionOutcome:
     return ActionOutcome(action=action, status=OutcomeStatus.FAILURE, detail=detail)
 
 
+# restart kind -> (fault class it clears, what its target must be, detail)
+_RESTARTS = {
+    ActionKind.RESTART_SERVICE:
+        (FaultClass.SERVICE_FAULT, "a service", "service restart scheduled"),
+    ActionKind.RESTART_OPENFLOW_AGENT:
+        (FaultClass.OPENFLOW_AGENT_CRASH, "an OpenFlow switch", "agent restart scheduled"),
+    ActionKind.CONTROLLER_FAILOVER:
+        (FaultClass.CONTROLLER_CRASH, "the controller", "standby controller promoted"),
+}
+
+
 def apply_action(
     state: SimState, action: RecoveryAction
 ) -> tuple[SimState, ActionOutcome]:
@@ -457,48 +449,23 @@ def apply_action(
     category = netmodel.component_category(topology, action.target)
     if category is None:
         raise SimError(f"unknown action target: {action.target}")
-    tickets = set(state.repair_tickets)
 
-    if action.kind is ActionKind.RESTART_SERVICE:
-        if category != "service":
-            raise SimError(f"restart-service target is not a service: {action.target}")
-        tickets.add((action.target, state.tick + 1, FaultClass.SERVICE_FAULT))
-        return replace(state, repair_tickets=frozenset(tickets)), _success(
-            action, "service restart scheduled"
-        )
-
-    if action.kind is ActionKind.RESTART_OPENFLOW_AGENT:
-        if (
-            category != "node"
-            or topology.node(action.target).kind is not NodeKind.OPENFLOW_SWITCH
-        ):
+    if action.kind in _RESTARTS:
+        fault_class, expected, detail = _RESTARTS[action.kind]
+        if not taxonomy.is_compatible(topology, action.target, fault_class):
             raise SimError(
-                f"restart-openflow-agent target is not an OpenFlow switch: "
-                f"{action.target}"
+                f"{action.kind.value} target is not {expected}: {action.target}"
             )
-        tickets.add((action.target, state.tick + 1, FaultClass.OPENFLOW_AGENT_CRASH))
-        return replace(state, repair_tickets=frozenset(tickets)), _success(
-            action, "agent restart scheduled"
-        )
-
-    if action.kind is ActionKind.CONTROLLER_FAILOVER:
-        if (
-            category != "node"
-            or topology.node(action.target).kind is not NodeKind.CONTROLLER
-        ):
-            raise SimError(
-                f"controller-failover target is not the controller: {action.target}"
-            )
-        tickets.add((action.target, state.tick + 1, FaultClass.CONTROLLER_CRASH))
-        return replace(state, repair_tickets=frozenset(tickets)), _success(
-            action, "standby controller promoted"
+        ticket = (action.target, state.tick + 1, fault_class)
+        return replace(state, repair_tickets=state.repair_tickets | {ticket}), _success(
+            action, detail
         )
 
     if action.kind is ActionKind.REROUTE:
         if category != "service":
             raise SimError(f"reroute target is not a service: {action.target}")
         service = topology.service(action.target)
-        avoid = frozenset(action.params.get("avoid", ()))
+        avoid = frozenset(action.params.get("avoid", ())) | state.down
         path = netmodel.find_path(topology, service.path[0], service.path[-1], avoid)
         if path is None:
             return state, _failure(action, "no alternative path")
@@ -512,9 +479,9 @@ def apply_action(
 
     if action.kind is ActionKind.OPEN_REPAIR_TICKET:
         delay = int(action.params.get("repair-delay", state.scenario.repair_delay))
-        tickets.add((action.target, state.tick + delay, None))
-        return replace(state, repair_tickets=frozenset(tickets)), _success(
-            action, f"repair scheduled at tick {state.tick + delay}"
+        ticket = (action.target, state.tick + delay, None)
+        return replace(state, repair_tickets=state.repair_tickets | {ticket}), _success(
+            action, f"repair scheduled at tick {ticket[1]}"
         )
 
     raise SimError(f"unknown action kind: {action.kind}")
@@ -561,11 +528,9 @@ def _load_balance_ap(
 
     topology = replace(topology, links=tuple(links.values()))
     for service in topology.services:
-        if action.target in service.path and any(
-            l in service.path for l in moved_links
-        ):
+        if any(l in service.path for l in moved_links):
             path = netmodel.find_path(
-                topology, service.path[0], service.path[-1], frozenset()
+                topology, service.path[0], service.path[-1], state.down
             )
             if path is None:
                 return state, _failure(

@@ -96,6 +96,19 @@ def test_run_writes_report(workdir):
     assert doc["records"][0]["recovered"] is True
 
 
+@pytest.mark.parametrize("policy", ["closed-world", "open-world"])
+def test_run_survives_host_failure(workdir, policy):
+    # hosts are not monitored, so the failure is seen as link-down and
+    # service-down; no alarm may lack a symptom variable
+    scenario = json.loads((workdir / "t1-linkfail.scenario.json").read_text())
+    scenario["faults"] = [{"target": "h1", "class": "physical-failure", "at-tick": 2}]
+    path = workdir / "t1-hostfail.scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = workdir / "report.json"
+    assert main(["run", str(path), "--policy", policy, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metrics"]["incidents"] == 1
+
+
 def test_run_table_format(workdir, capsys):
     assert main(
         ["run", str(workdir / "t1-linkfail.scenario.json"), "--format", "table"]

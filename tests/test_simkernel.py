@@ -1,7 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnheal import alarmpipe, netmodel, simkernel, taxonomy
 from sdnheal.netmodel import LinkState, NodeState, ServiceState
@@ -14,6 +17,8 @@ from sdnheal.simkernel import (
     SimError,
 )
 from sdnheal.taxonomy import FaultClass, Symptom
+
+from topogen import random_topology
 
 
 def scenario_for(t1, faults=(), **kwargs) -> Scenario:
@@ -86,7 +91,7 @@ def test_noise_config_deterministic_forces_zero_rates():
 
 def test_inject_physical_failure_downs_component(t1):
     state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
-    assert state.topology.link("l1").state is LinkState.DOWN
+    assert state.down == {"l1"}
     assert state.active_faults == {("l1", FaultClass.PHYSICAL_FAILURE)}
 
 
@@ -100,7 +105,7 @@ def test_repeated_fault_idempotent(t1):
 
 def test_inject_agent_crash_keeps_forwarding_state(t1):
     state, _ = faulted(t1, ("s1", FaultClass.OPENFLOW_AGENT_CRASH))
-    assert state.topology.node("s1").state is NodeState.UP
+    assert state.down == frozenset()
     assert ("s1", FaultClass.OPENFLOW_AGENT_CRASH) in state.active_faults
 
 
@@ -138,6 +143,13 @@ def test_step_node_failure_alarms(t1):
         (Symptom.LINK_DOWN, "la"),
         (Symptom.SERVICE_DOWN, "v1"),
     }
+
+
+def test_step_host_failure_emits_only_monitored_symptoms(t1):
+    # hosts are not monitored: no node-unreachable for h1
+    state, symptoms = faulted(t1, ("h1", FaultClass.PHYSICAL_FAILURE))
+    assert symptoms == {(Symptom.LINK_DOWN, "la"), (Symptom.SERVICE_DOWN, "v1")}
+    assert state.down == {"h1"}
 
 
 def test_step_agent_crash_only_control_symptom(t1):
@@ -411,6 +423,42 @@ def test_observe_service_matches_generative_table_for_all_single_faults(t1):
                 assert reading is ServiceState.UP, (fault_class, target)
 
 
+def _compatible_faults(topology):
+    components = (*topology.nodes, *topology.links, *topology.services)
+    return [
+        (c.id, fault_class)
+        for fault_class in FaultClass
+        for c in components
+        if taxonomy.is_compatible(topology, c.id, fault_class)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_probes_agree_with_alarms_on_overlapping_faults(seed, data):
+    topology = random_topology(seed, n_nodes=20, n_services=5)
+    faults = data.draw(
+        st.lists(
+            st.sampled_from(_compatible_faults(topology)),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    scheduled = tuple(FaultEvent(target, fc, 0) for target, fc in faults)
+    scenario = Scenario(topology=topology, faults=scheduled, horizon=2)
+    state, symptoms = drain(simkernel.init_sim(scenario))
+    for service in topology.services:
+        reading = simkernel.observe_service(state, service.id)
+        down = (Symptom.SERVICE_DOWN, service.id) in symptoms
+        sla = (Symptom.SLA_VIOLATION, service.id) in symptoms
+        assert (reading is ServiceState.DOWN) == down, (service.id, faults)
+        assert (reading is ServiceState.DEGRADED) == (sla and not down), (service.id, faults)
+    assert state.down == {
+        target for target, fc in faults if fc is FaultClass.PHYSICAL_FAILURE
+    }
+
+
 # ---------------------------------------------------------------------------
 # actuation
 
@@ -437,6 +485,14 @@ def test_reroute_without_alternative_fails_gracefully(t1):
     assert outcome.status is OutcomeStatus.FAILURE
     assert outcome.detail == "no alternative path"
     assert state.topology.service("v1").path == t1.service("v1").path
+    # down links are avoided without being named
+    state, _ = faulted(
+        t1, ("l1", FaultClass.PHYSICAL_FAILURE), ("l2", FaultClass.PHYSICAL_FAILURE)
+    )
+    action = RecoveryAction(kind=ActionKind.REROUTE, target="v1")
+    after, outcome = simkernel.apply_action(state, action)
+    assert outcome.detail == "no alternative path"
+    assert after is state
 
 
 def test_restart_service_clears_fault_next_tick(t1):
@@ -473,15 +529,13 @@ def test_repair_ticket_restores_component_after_delay(t1):
     assert outcome.status is OutcomeStatus.SUCCESS
     for _ in range(2):
         state, _ = simkernel.step(state)
-        assert state.topology.link("la").state is LinkState.DOWN
+        assert state.down == {"la"}
     state, _ = simkernel.step(state)
-    assert state.topology.link("la").state is LinkState.UP
+    assert state.down == frozenset()
     assert state.active_faults == frozenset()
 
 
 def test_repair_and_restart_tickets_due_on_one_tick(t1):
-    # a repair ticket carries no fault class; sorting it against a restart
-    # ticket for the same switch and tick must not compare None with a class
     state, _ = faulted(
         t1,
         ("s1", FaultClass.PHYSICAL_FAILURE),
@@ -498,7 +552,7 @@ def test_repair_and_restart_tickets_due_on_one_tick(t1):
     state, _ = simkernel.step(state)
     assert state.active_faults == frozenset()
     assert state.repair_tickets == frozenset()
-    assert state.topology.node("s1").state is NodeState.UP
+    assert state.down == frozenset()
 
 
 def test_apply_action_unknown_target(t1):
@@ -563,6 +617,53 @@ def test_load_balance_ap_rehomes_client():
         "h1", "ka", "ap2", "k2", "s1", "kb", "h2",
     )
     assert netmodel.validate_topology(state.topology) == []
+
+
+def test_topology_replaced_only_when_a_path_changes(t1):
+    state, _ = faulted(
+        t1,
+        ("l1", FaultClass.PHYSICAL_FAILURE),
+        ("v1", FaultClass.SERVICE_FAULT),
+        ("s1", FaultClass.OPENFLOW_AGENT_CRASH),
+        ("c0", FaultClass.CONTROLLER_CRASH),
+        repair_delay=2,
+    )
+    topology = state.scenario.topology
+    assert state.topology is topology
+    for kind, target in [
+        (ActionKind.RESTART_SERVICE, "v1"),
+        (ActionKind.RESTART_OPENFLOW_AGENT, "s1"),
+        (ActionKind.CONTROLLER_FAILOVER, "c0"),
+        (ActionKind.OPEN_REPAIR_TICKET, "l1"),
+    ]:
+        state, _ = simkernel.apply_action(state, RecoveryAction(kind=kind, target=target))
+        assert state.topology is topology
+    for _ in range(2):
+        state, _ = simkernel.step(state)
+        assert state.topology is topology
+    assert state.active_faults == frozenset()
+
+    blocked = RecoveryAction(
+        kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1", "l2")}
+    )
+    state, outcome = simkernel.apply_action(state, blocked)
+    assert outcome.status is OutcomeStatus.FAILURE
+    assert state.topology is topology
+    state, outcome = simkernel.apply_action(
+        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
+    )
+    assert outcome.status is OutcomeStatus.SUCCESS
+    assert state.topology is not topology
+
+    state = simkernel.init_sim(Scenario(topology=ap_topology(), seed=1, horizon=5))
+    topology = state.topology
+    unattached = replace(REHOME_H1, params={"destination": "ap2", "clients": ("h2",)})
+    state, outcome = simkernel.apply_action(state, unattached)
+    assert outcome.status is OutcomeStatus.FAILURE
+    assert state.topology is topology
+    state, outcome = simkernel.apply_action(state, REHOME_H1)
+    assert outcome.status is OutcomeStatus.SUCCESS
+    assert state.topology is not topology
 
 
 def test_scenario_vocabulary_holds_after_reroute_and_rehoming(t1):
