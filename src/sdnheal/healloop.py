@@ -104,8 +104,9 @@ class _Driver:
     recovery execution and verification drive.
     """
 
-    def __init__(self, state: SimState):
+    def __init__(self, state: SimState, monitored: frozenset[str]):
         self.state = state
+        self.monitored = monitored
         self.buffer: list[Alarm] = []
         self.alarm_log: list[Alarm] = []
         self.suppressed: set[tuple[str, Symptom]] = set()
@@ -121,8 +122,13 @@ class _Driver:
         self.state, raws = simkernel.step(self.state)
         alarms = [alarmpipe.translate_alarm(r) for r in raws]
         emitted = {(a.emitter, a.symptom) for a in alarms}
+        # Only alarms the network has a variable for are windowed: a host's
+        # node-unreachable has none unless it was built with include-hosts.
         self.buffer.extend(
-            a for a in alarms if (a.emitter, a.symptom) not in self.suppressed
+            a
+            for a in alarms
+            if (a.emitter, a.symptom) not in self.suppressed
+            and bndiag.symptom_var_id(a.symptom, a.emitter) in self.monitored
         )
         self.alarm_log.extend(alarms)
         # A suppressed symptom that stops re-occurring has cleared; a later
@@ -186,7 +192,7 @@ def run_loop(
     table = table or recover.default_strategy_table()
     config = config or LoopConfig()
     diagnoser = _Diagnoser(bndiag.build_bn(scenario.topology, params), config)
-    driver = _Driver(simkernel.init_sim(scenario))
+    driver = _Driver(simkernel.init_sim(scenario), diagnoser.bn.compiled.symptoms)
 
     records: list[IncidentRecord] = []
     while driver.can_step():

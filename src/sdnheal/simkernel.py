@@ -21,11 +21,10 @@ Generative alarm table (per tick, per active fault):
     controller-crash           of-session-lost(s) for every OpenFlow switch
 
 An agent crash severs the control session only; installed flows keep
-forwarding, so no service symptom is generated for it. Symptoms outside
-the monitoring vocabulary (a host's node-unreachable) are not emitted. In
-stochastic mode each alarm is independently dropped with the configured
-loss probability and spurious alarms are drawn (Poisson-distributed per
-tick) uniformly from that vocabulary, all from the seeded generator.
+forwarding, so no service symptom is generated for it. In stochastic mode
+each alarm is independently dropped with the configured loss probability
+and spurious alarms are drawn (Poisson-distributed per tick) uniformly
+from the topology's symptom vocabulary, all from the seeded generator.
 
 A run draws from one live `random.Random`, seeded from the scenario by
 `init_sim` (never from the OS). Each state holds it (`SimState.rng`), and
@@ -122,11 +121,6 @@ class Scenario:
         or access-point re-homing alters.
         """
         return tuple(taxonomy.symptom_vocabulary(self.topology))
-
-    @cached_property
-    def monitored(self) -> frozenset[tuple[Symptom, str]]:
-        """The vocabulary as a set: `step` emits no symptom outside it."""
-        return frozenset(self.vocabulary)
 
 
 class RngHold:
@@ -315,6 +309,8 @@ def _raw_alarm(symptom: Symptom, emitter: str, tick: int) -> RawAlarm:
 
 
 def _poisson(rng: random.Random, rate: float) -> int:
+    if rate <= 0.0:
+        return 0
     threshold = math.exp(-rate)
     count = 0
     product = rng.random()
@@ -358,7 +354,7 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     for target, fault_class in active:
         symptoms |= symptoms_for_fault(state.topology, target, fault_class)
 
-    emitted = sorted(symptoms.intersection(scenario.monitored))
+    emitted = sorted(symptoms)
     if stochastic:  # one loss draw per symptom, whatever the probability
         draw, loss = rng.random, noise.alarm_loss_probability
         emitted = [key for key in emitted if not draw() < loss]
@@ -369,9 +365,10 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
             symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
             alarms.append(_raw_alarm(symptom, emitter, tick))
 
-    new_state = replace(
-        state,
+    new_state = SimState(
+        scenario=scenario,
         tick=tick,
+        topology=state.topology,
         active_faults=frozenset(active),
         repair_tickets=tickets,
         rng=hold,
@@ -528,7 +525,9 @@ def _load_balance_ap(
 
     topology = replace(topology, links=tuple(links.values()))
     for service in topology.services:
-        if any(l in service.path for l in moved_links):
+        if action.target in service.path and any(
+            l in service.path for l in moved_links
+        ):
             path = netmodel.find_path(
                 topology, service.path[0], service.path[-1], state.down
             )

@@ -96,17 +96,39 @@ def test_run_writes_report(workdir):
     assert doc["records"][0]["recovered"] is True
 
 
-@pytest.mark.parametrize("policy", ["closed-world", "open-world"])
-def test_run_survives_host_failure(workdir, policy):
-    # hosts are not monitored, so the failure is seen as link-down and
-    # service-down; no alarm may lack a symptom variable
+def host_failure_scenario(workdir) -> Path:
     scenario = json.loads((workdir / "t1-linkfail.scenario.json").read_text())
     scenario["faults"] = [{"target": "h1", "class": "physical-failure", "at-tick": 2}]
+    scenario["repair-delay"] = 2
     path = workdir / "t1-hostfail.scenario.json"
     path.write_text(json.dumps(scenario))
+    return path
+
+
+@pytest.mark.parametrize("policy", ["closed-world", "open-world"])
+def test_run_survives_host_failure(workdir, policy):
+    # by default the network has no variable for node-unreachable(h1); the
+    # loop drops that alarm and diagnoses link-down and service-down
     out = workdir / "report.json"
+    path = host_failure_scenario(workdir)
     assert main(["run", str(path), "--policy", policy, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["metrics"]["incidents"] == 1
+    doc = json.loads(out.read_text())
+    assert doc["metrics"]["incidents"] == 1
+    assert "symptom:node-unreachable:h1" not in doc["records"][0]["evidence"]
+
+
+@pytest.mark.parametrize("policy", ["closed-world", "open-world"])
+def test_run_include_hosts_diagnoses_host_failure(workdir, policy):
+    params = workdir / "params.json"
+    params.write_text(json.dumps({"include-hosts": True}))
+    out = workdir / "report.json"
+    path = host_failure_scenario(workdir)
+    argv = ["run", str(path), "--params", str(params), "--policy", policy]
+    assert main([*argv, "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["records"][0]
+    assert record["evidence"]["symptom:node-unreachable:h1"] is True
+    assert record["diagnosis"]["ranked"][0][0] == "fault:physical:h1"
+    assert record["recovered"] is True
 
 
 def test_run_table_format(workdir, capsys):

@@ -145,10 +145,13 @@ def test_step_node_failure_alarms(t1):
     }
 
 
-def test_step_host_failure_emits_only_monitored_symptoms(t1):
-    # hosts are not monitored: no node-unreachable for h1
+def test_step_host_failure_alarms(t1):
     state, symptoms = faulted(t1, ("h1", FaultClass.PHYSICAL_FAILURE))
-    assert symptoms == {(Symptom.LINK_DOWN, "la"), (Symptom.SERVICE_DOWN, "v1")}
+    assert symptoms == {
+        (Symptom.NODE_UNREACHABLE, "h1"),
+        (Symptom.LINK_DOWN, "la"),
+        (Symptom.SERVICE_DOWN, "v1"),
+    }
     assert state.down == {"h1"}
 
 
