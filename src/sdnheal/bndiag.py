@@ -7,9 +7,10 @@ has a leaky noisy-OR conditional distribution: every active parent
 independently fails to trigger it with probability 1 - p_edge, and a leak
 lets it fire spontaneously.
 
-Edge strengths distinguish direct edges (the symptom the fault itself
-raises in the simulator's generative model) from indirect ones (symptoms
-the fault merely makes plausible).
+The edges are the propagation table `taxonomy.effects`, which the
+simulator's alarms also follow: a fault's direct effects (the alarms it
+raises) get p-direct, its indirect ones (symptoms it merely makes
+plausible) p-indirect.
 
 Inference is exact and never builds a conditional table. Given the
 evidence, unobserved symptoms are barren and drop out, each negative
@@ -23,13 +24,13 @@ What no evidence changes is compiled once per network, on first use
 (`BayesNet.compiled`): each symptom's parents and q values, and for each
 fault its "resting" posterior, the one it has when no observed finding
 touches it: its prior under open-world evidence, and under closed-world
-evidence its prior folded with every child's q (all of them negative). A call then builds factors only for the positive
-findings and the faults they touch (any observed finding, under partial
-evidence) and copies the resting pairs of the rest, as Quickscore
-(Heckerman 1989) and Jaakkola & Jordan (1999) pay only for positive
-findings. Two oracles that share no code with it check it: brute-force
-joint enumeration (up to 20 variables) and Quickscore (up to 16 positive
-findings).
+evidence its prior folded with every child's q (all of them negative).
+A call then builds factors only for the positive findings and the faults
+they touch (any observed finding, under partial evidence) and copies the
+resting pairs of the rest, as Quickscore (Heckerman 1989) and Jaakkola
+& Jordan (1999) pay only for positive findings. Two oracles that share
+no code with it check it: brute-force joint enumeration (up to 20
+variables) and Quickscore (up to 16 positive findings).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .netmodel import NodeKind, Topology
-from .taxonomy import FaultClass, Symptom, symptom_vocabulary
+from .taxonomy import FaultClass, Symptom, effects, symptom_vocabulary
 
 EvidenceMap = dict[str, bool]
 
@@ -194,10 +195,11 @@ def params_from_dict(doc: dict | None) -> BnParams:
             )
         elif key in _PARAM_KEYS:
             field = _PARAM_KEYS[key]
-            if field == "include_hosts":
-                kwargs[field] = bool(value)
-            else:
-                kwargs[field] = float(value)
+            if field != "include_hosts":
+                value = float(value)
+            elif not isinstance(value, bool):
+                raise BnError(f"include-hosts must be true or false: {value!r}")
+            kwargs[field] = value
         elif key not in _NO_OP_KEYS:
             raise BnError(f"unknown parameter key: {key}")
     return replace(BnParams(), **kwargs)
@@ -214,50 +216,38 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
     (hosts are outside the repair domain unless include_hosts is set), a
     traffic-drop fault per link, an agent crash per OpenFlow switch, one
     controller crash, and one service fault per service. Symptom variables
-    mirror the monitored alarm vocabulary; their parent sets follow the
-    fault propagation rules, with direct edges at p_direct and indirect
-    ones at p_indirect. Construction is deterministic.
+    mirror the monitored alarm vocabulary. Each fault's edges are its
+    effects in the propagation table (`taxonomy.effects`): direct ones at
+    p_direct, indirect ones at p_indirect. Construction is deterministic.
     """
+    nodes = [n for n in t.nodes if params.include_hosts or n.kind is not NodeKind.HOST]
+    links = [l.id for l in t.links]
+    switches = [n.id for n in nodes if n.kind is NodeKind.OPENFLOW_SWITCH]
+    faults = [  # (class, targets, prior), in network order
+        (FaultClass.PHYSICAL_FAILURE, [n.id for n in nodes] + links, params.prior_physical),
+        (FaultClass.INTERFACE_TRAFFIC_DROP, links, params.prior_drop),
+        (FaultClass.OPENFLOW_AGENT_CRASH, switches, params.prior_agent),
+        (FaultClass.CONTROLLER_CRASH, [t.controller_id], params.prior_controller),
+        (FaultClass.SERVICE_FAULT, [s.id for s in t.services], params.prior_service),
+    ]
+
     variables: list[BnVariable] = []
     priors: dict[str, float] = {}
+    vocabulary = symptom_vocabulary(t, include_hosts=params.include_hosts)
+    edges: dict[tuple[Symptom, str], dict[str, float]] = {key: {} for key in vocabulary}
+    for fc, targets, prior in faults:
+        for target in targets:
+            vid = fault_var_id(fc, target)
+            variables.append(BnVariable(id=vid, kind="fault", target=target, fault_class=fc))
+            priors[vid] = prior
+            direct, indirect = effects(t, fc, target)
+            for key in direct:
+                edges[key][vid] = params.p_direct
+            for key in indirect:
+                edges[key][vid] = params.p_indirect
 
-    def add_fault(fc: FaultClass, target: str, prior: float) -> str:
-        vid = fault_var_id(fc, target)
-        variables.append(
-            BnVariable(id=vid, kind="fault", target=target, fault_class=fc)
-        )
-        priors[vid] = prior
-        return vid
-
-    phys: dict[str, str] = {}
-    for n in t.nodes:
-        if n.kind is NodeKind.HOST and not params.include_hosts:
-            continue
-        phys[n.id] = add_fault(FaultClass.PHYSICAL_FAILURE, n.id, params.prior_physical)
-    for l in t.links:
-        phys[l.id] = add_fault(FaultClass.PHYSICAL_FAILURE, l.id, params.prior_physical)
-
-    drop = {
-        l.id: add_fault(FaultClass.INTERFACE_TRAFFIC_DROP, l.id, params.prior_drop)
-        for l in t.links
-    }
-    agent = {
-        n.id: add_fault(FaultClass.OPENFLOW_AGENT_CRASH, n.id, params.prior_agent)
-        for n in t.nodes
-        if n.kind is NodeKind.OPENFLOW_SWITCH
-    }
-    ctrl = add_fault(
-        FaultClass.CONTROLLER_CRASH, t.controller_id, params.prior_controller
-    )
-    svc = {
-        s.id: add_fault(FaultClass.SERVICE_FAULT, s.id, params.prior_service)
-        for s in t.services
-    }
-
-    direct, indirect = params.p_direct, params.p_indirect
     cpts: dict[str, NoisyOrCpt] = {}
-
-    def add_symptom(symptom: Symptom, emitter: str, parents: dict[str, float]) -> None:
+    for (symptom, emitter), parents in edges.items():
         vid = symptom_var_id(symptom, emitter)
         ordered = tuple(sorted(parents))
         variables.append(
@@ -269,48 +259,6 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
             link_probabilities=tuple(parents[p] for p in ordered),
             leak=params.leak,
         )
-
-    for symptom, emitter in symptom_vocabulary(t, include_hosts=params.include_hosts):
-        parents: dict[str, float] = {}
-        if symptom is Symptom.LINK_DOWN:
-            link = t.link(emitter)
-            parents[phys[emitter]] = direct
-            for end in link.endpoints:
-                if end in phys:  # a failed endpoint takes its links down too
-                    parents[phys[end]] = direct
-        elif symptom is Symptom.NODE_UNREACHABLE:
-            parents[phys[emitter]] = direct
-        elif symptom is Symptom.OF_SESSION_LOST:
-            parents[agent[emitter]] = direct
-            parents[ctrl] = direct
-            if emitter in phys:
-                parents[phys[emitter]] = indirect
-        elif symptom is Symptom.TRAFFIC_DROP:
-            link = t.link(emitter)
-            parents[drop[emitter]] = direct
-            parents[phys[emitter]] = direct
-            for end in link.endpoints:
-                if end in phys:
-                    parents[phys[end]] = indirect
-        elif symptom is Symptom.SERVICE_DOWN:
-            service = t.service(emitter)
-            parents[svc[emitter]] = direct
-            for hop in service.path:
-                if hop in phys:
-                    parents[phys[hop]] = direct
-                if hop in agent:
-                    parents[agent[hop]] = indirect
-        elif symptom is Symptom.SLA_VIOLATION:
-            service = t.service(emitter)
-            parents[svc[emitter]] = indirect
-            for hop in service.path:
-                if hop in phys:
-                    parents[phys[hop]] = indirect
-                if hop in agent:
-                    parents[agent[hop]] = indirect
-                if hop in drop:  # degradation is what a traffic drop causes
-                    parents[drop[hop]] = direct
-        add_symptom(symptom, emitter, parents)
 
     variables.sort(key=lambda v: (v.kind, v.id))
     return BayesNet(variables=tuple(variables), priors=priors, cpts=cpts)

@@ -51,9 +51,9 @@ def _load(path: str | Path, what: str, parse: Callable[[object], T]) -> T:
 
 
 def _evidence_map(doc) -> dict[str, bool]:
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict) or not all(isinstance(v, bool) for v in doc.values()):
         raise bndiag.BnError("evidence document must map symptom ids to booleans")
-    return {str(k): bool(v) for k, v in doc.items()}
+    return doc
 
 
 def _scenario_name(path: Path) -> str:

@@ -116,6 +116,30 @@ class Topology:
     def _services_by_id(self) -> dict[str, Service]:
         return {s.id: s for s in self.services}
 
+    @cached_property
+    def _services_through(self) -> dict[str, tuple[str, ...]]:
+        through: dict[str, list[str]] = {}
+        for s in self.services:
+            for hop in dict.fromkeys(s.path):
+                through.setdefault(hop, []).append(s.id)
+        return {hop: tuple(ids) for hop, ids in through.items()}
+
+    @cached_property
+    def _incident_links(self) -> dict[str, tuple[str, ...]]:
+        incident: dict[str, list[str]] = {}
+        for l in self.links:
+            for end in l.endpoints:
+                incident.setdefault(end, []).append(l.id)
+        return {node: tuple(ids) for node, ids in incident.items()}
+
+    def services_through(self, cid: str) -> tuple[str, ...]:
+        """Ids of the services whose path runs through a component, in id order."""
+        return self._services_through.get(cid, ())
+
+    def incident_links(self, node_id: str) -> tuple[str, ...]:
+        """Ids of the links that have the node as an endpoint, in id order."""
+        return self._incident_links.get(node_id, ())
+
     def node(self, node_id: str) -> NetworkNode:
         return self._nodes_by_id[node_id]
 

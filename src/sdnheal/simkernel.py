@@ -1,30 +1,18 @@
 """Deterministic discrete-time network simulator.
 
 Stands in for the NMS, the service manager, and the managed network:
-faults are injected on schedule, every tick each active fault emits the
-alarms of the generative table below, and service status probes answer
-from the active faults. A state holds the network's structure, the active
-faults and the pending tickets; a component is down iff a physical
-failure is active on it (`SimState.down`). Only `reroute` and
-`load-balance-ap` replace `SimState.topology`, when a service path changes.
+faults are injected on schedule, every tick the active faults raise their
+direct effects as alarms (`SimState.symptoms`, from the propagation table
+`taxonomy.effects`), and service status probes read the same set. A state
+holds the network's structure, the active faults and the pending tickets;
+a component is down iff a physical failure is active on it
+(`SimState.down`). Only `reroute` and `load-balance-ap` replace
+`SimState.topology`, when a service path changes.
 
-Generative alarm table (per tick, per active fault):
-
-    physical-failure(link l)   link-down(l), traffic-drop(l),
-                               service-down(v) for services with l on path
-    physical-failure(node n)   node-unreachable(n), link-down per incident
-                               link, service-down for services with n on path
-    openflow-agent-crash(s)    of-session-lost(s)
-    interface-traffic-drop(l)  traffic-drop(l), sla-violation(v) for
-                               services with l on path
-    service-fault(v)           service-down(v)
-    controller-crash           of-session-lost(s) for every OpenFlow switch
-
-An agent crash severs the control session only; installed flows keep
-forwarding, so no service symptom is generated for it. In stochastic mode
-each alarm is independently dropped with the configured loss probability
-and spurious alarms are drawn (Poisson-distributed per tick) uniformly
-from the topology's symptom vocabulary, all from the seeded generator.
+In stochastic mode each alarm is independently dropped with the
+configured loss probability and spurious alarms are drawn
+(Poisson-distributed per tick) uniformly from the topology's symptom
+vocabulary, all from the seeded generator.
 
 A run draws from one live `random.Random`, seeded from the scenario by
 `init_sim` (never from the OS). Each state holds it (`SimState.rng`), and
@@ -173,6 +161,14 @@ class SimState:
             c for c, fc in self.active_faults if fc is FaultClass.PHYSICAL_FAILURE
         )
 
+    @cached_property
+    def symptoms(self) -> frozenset[tuple[Symptom, str]]:
+        """The alarms the active faults raise: their direct effects."""
+        return frozenset().union(*[
+            taxonomy.effects(self.topology, fault_class, target)[0]
+            for target, fault_class in self.active_faults
+        ])
+
     @property
     def rng_state(self) -> tuple:
         """The generator's state (`random.Random.getstate`) at this state."""
@@ -260,39 +256,6 @@ def init_sim(scenario: Scenario) -> SimState:
     )
 
 
-def symptoms_for_fault(
-    topology: Topology, target: str, fault_class: FaultClass
-) -> set[tuple[Symptom, str]]:
-    """Generative table entry for one active fault (see module docstring)."""
-    symptoms: set[tuple[Symptom, str]] = set()
-    if fault_class is FaultClass.PHYSICAL_FAILURE:
-        if netmodel.component_category(topology, target) == "link":
-            symptoms.add((Symptom.LINK_DOWN, target))
-            symptoms.add((Symptom.TRAFFIC_DROP, target))
-        else:
-            symptoms.add((Symptom.NODE_UNREACHABLE, target))
-            for link in topology.links:
-                if target in link.endpoints:
-                    symptoms.add((Symptom.LINK_DOWN, link.id))
-        for service in topology.services:
-            if target in service.path:
-                symptoms.add((Symptom.SERVICE_DOWN, service.id))
-    elif fault_class is FaultClass.OPENFLOW_AGENT_CRASH:
-        symptoms.add((Symptom.OF_SESSION_LOST, target))
-    elif fault_class is FaultClass.INTERFACE_TRAFFIC_DROP:
-        symptoms.add((Symptom.TRAFFIC_DROP, target))
-        for service in topology.services:
-            if target in service.path:
-                symptoms.add((Symptom.SLA_VIOLATION, service.id))
-    elif fault_class is FaultClass.SERVICE_FAULT:
-        symptoms.add((Symptom.SERVICE_DOWN, target))
-    elif fault_class is FaultClass.CONTROLLER_CRASH:
-        for node in topology.nodes:
-            if node.kind is NodeKind.OPENFLOW_SWITCH:
-                symptoms.add((Symptom.OF_SESSION_LOST, node.id))
-    return symptoms
-
-
 _EVENT_OF_SYMPTOM = {
     Symptom.LINK_DOWN: ("sim-nms", "LINK_DOWN"),
     Symptom.NODE_UNREACHABLE: ("sim-nms", "NODE_UNREACHABLE"),
@@ -350,21 +313,6 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
         active.add((fault.target, fault.fault_class))
         index += 1
 
-    symptoms: set[tuple[Symptom, str]] = set()
-    for target, fault_class in active:
-        symptoms |= symptoms_for_fault(state.topology, target, fault_class)
-
-    emitted = sorted(symptoms)
-    if stochastic:  # one loss draw per symptom, whatever the probability
-        draw, loss = rng.random, noise.alarm_loss_probability
-        emitted = [key for key in emitted if not draw() < loss]
-    alarms = [_raw_alarm(symptom, emitter, tick) for symptom, emitter in emitted]
-    if stochastic and noise.spurious_alarm_rate > 0.0:
-        vocabulary = scenario.vocabulary
-        for _ in range(_poisson(rng, noise.spurious_alarm_rate)):
-            symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
-            alarms.append(_raw_alarm(symptom, emitter, tick))
-
     new_state = SimState(
         scenario=scenario,
         tick=tick,
@@ -374,31 +322,37 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
         rng=hold,
         next_fault_index=index,
     )
+    if new_state.active_faults == state.active_faults:
+        # same faults on the same topology: seed the cache with the alarms
+        vars(new_state)["symptoms"] = state.symptoms
+    emitted = sorted(new_state.symptoms)
+    if stochastic:  # one loss draw per symptom, whatever the probability
+        draw, loss = rng.random, noise.alarm_loss_probability
+        emitted = [key for key in emitted if not draw() < loss]
+    alarms = [_raw_alarm(symptom, emitter, tick) for symptom, emitter in emitted]
+    if stochastic and noise.spurious_alarm_rate > 0.0:
+        vocabulary = scenario.vocabulary
+        for _ in range(_poisson(rng, noise.spurious_alarm_rate)):
+            symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
+            alarms.append(_raw_alarm(symptom, emitter, tick))
     return new_state, alarms
 
 
 def observe_service(state: SimState, service_id: str) -> ServiceState:
     """Probe one service: down beats degraded beats up.
 
-    Read from the active faults: down iff a service fault is active on it
-    or a path component is in `SimState.down`; degraded iff a traffic drop
-    is active on a path link. In stochastic mode the reading flips with
-    the alarm-loss probability, using a counter-based generator so probing
-    never perturbs the stepping RNG.
+    The truth is read from the state's alarms (`SimState.symptoms`): down
+    iff they hold service-down for it, degraded iff sla-violation. In
+    stochastic mode the reading flips with the alarm-loss probability,
+    using a counter-based generator so probing never perturbs the stepping
+    RNG.
     """
-    try:
-        service = state.topology.service(service_id)
-    except KeyError:
+    if netmodel.component_category(state.topology, service_id) != "service":
         raise SimError(f"unknown service: {service_id}")
 
-    faults = state.active_faults
-    if (service_id, FaultClass.SERVICE_FAULT) in faults or not state.down.isdisjoint(
-        service.path
-    ):
+    if (Symptom.SERVICE_DOWN, service_id) in state.symptoms:
         truth = ServiceState.DOWN
-    elif any(
-        (hop, FaultClass.INTERFACE_TRAFFIC_DROP) in faults for hop in service.path[1::2]
-    ):
+    elif (Symptom.SLA_VIOLATION, service_id) in state.symptoms:
         truth = ServiceState.DEGRADED
     else:
         truth = ServiceState.UP

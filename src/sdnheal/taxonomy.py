@@ -3,7 +3,8 @@
 Alarms come at three levels (service, transport, physical) and every
 symptom kind belongs to exactly one level. Fault classes name the things
 that can break; they are kept here, below both the simulator and the
-diagnosis engine, so that both sides speak the same vocabulary.
+diagnosis engine, so that both sides speak the same vocabulary. Which
+symptoms a fault raises is decided here too (`effects`), once for both.
 """
 
 from __future__ import annotations
@@ -72,6 +73,72 @@ def symptom_vocabulary(
     out.extend((Symptom.SERVICE_DOWN, v.id) for v in services)
     out.extend((Symptom.SLA_VIOLATION, v.id) for v in services)
     return out
+
+
+Effect = tuple[Symptom, str]  # (symptom, emitter)
+
+
+def effects(
+    topology: Topology, fault_class: FaultClass, target: str
+) -> tuple[list[Effect], list[Effect]]:
+    """The fault-propagation table: what one fault on `target` raises.
+
+    `direct` are the alarms the simulator emits while the fault is active,
+    and the diagnosis network's edges at p-direct; `indirect` are symptoms
+    the fault only makes plausible, its edges at p-indirect. Below, `l*`
+    ranges over the links incident to the node, `v*` over the services
+    whose path runs through the target.
+
+        fault                      direct                indirect
+        physical-failure(link l)   link-down(l),         sla-violation(v*)
+                                   traffic-drop(l),
+                                   service-down(v*)
+        physical-failure(node n)   node-unreachable(n),  traffic-drop(l*),
+                                   link-down(l*),        of-session-lost(n) if
+                                   service-down(v*)      n is an OpenFlow switch,
+                                                         sla-violation(v*)
+        openflow-agent-crash(s)    of-session-lost(s)    service-down(v*),
+                                                         sla-violation(v*)
+        interface-traffic-drop(l)  traffic-drop(l),      -
+                                   sla-violation(v*)
+        service-fault(v)           service-down(v)       sla-violation(v)
+        controller-crash           of-session-lost(s)    -
+                                   per OpenFlow switch
+
+    An agent crash severs the control session only; installed flows keep
+    forwarding, so it raises no service symptom for certain. Hosts are
+    treated like any node; whether they are monitored is the vocabulary's
+    concern (`symptom_vocabulary`).
+    """
+    through = topology.services_through(target)
+    if fault_class is FaultClass.PHYSICAL_FAILURE:
+        direct = [(Symptom.SERVICE_DOWN, v) for v in through]
+        indirect = [(Symptom.SLA_VIOLATION, v) for v in through]
+        if netmodel.component_category(topology, target) == "link":
+            direct += ((Symptom.LINK_DOWN, target), (Symptom.TRAFFIC_DROP, target))
+        else:
+            direct.append((Symptom.NODE_UNREACHABLE, target))
+            for link in topology.incident_links(target):
+                direct.append((Symptom.LINK_DOWN, link))
+                indirect.append((Symptom.TRAFFIC_DROP, link))
+            if topology.node(target).kind is NodeKind.OPENFLOW_SWITCH:
+                indirect.append((Symptom.OF_SESSION_LOST, target))
+    elif fault_class is FaultClass.INTERFACE_TRAFFIC_DROP:
+        direct = [(Symptom.SLA_VIOLATION, v) for v in through]
+        direct.append((Symptom.TRAFFIC_DROP, target))
+        indirect = []
+    elif fault_class is FaultClass.OPENFLOW_AGENT_CRASH:
+        direct = [(Symptom.OF_SESSION_LOST, target)]
+        indirect = [(Symptom.SERVICE_DOWN, v) for v in through]
+        indirect += [(Symptom.SLA_VIOLATION, v) for v in through]
+    elif fault_class is FaultClass.SERVICE_FAULT:
+        direct = [(Symptom.SERVICE_DOWN, target)]
+        indirect = [(Symptom.SLA_VIOLATION, target)]
+    else:  # controller crash
+        switches = (n for n in topology.nodes if n.kind is NodeKind.OPENFLOW_SWITCH)
+        direct = [(Symptom.OF_SESSION_LOST, n.id) for n in switches]
+        indirect = []
+    return direct, indirect
 
 
 def is_compatible(topology: Topology, target: str, fault: FaultClass) -> bool:

@@ -1,12 +1,15 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnheal import alarmpipe, bndiag, healloop, simkernel
 from sdnheal.bndiag import (
@@ -124,6 +127,63 @@ def test_build_bn_include_hosts_flag(t1):
     bn = bndiag.build_bn(t1, BnParams(include_hosts=True))
     assert "fault:physical:h1" in bn.fault_ids
     assert "symptom:node-unreachable:h1" in bn.symptom_ids
+
+
+# sha1 of `bn_to_dict` as `build-bn` writes it, and of the order of the
+# network's priors and CPTs; recorded when the edges were spelled out
+# symptom by symptom, before they came from `taxonomy.effects`.
+BUILD_BN_SHA1 = {
+    ("t1", False): ("9d513a8d05236a7806e5b13c7d0e5778ac5d5854",
+                    "44d40459177e7172fb439f4667907ed9762775c5"),
+    ("t1", True): ("782a3e369eadbb6dc4a997ffb1974eff2b5bd3a0",
+                   "889351a15c5a0c0adbd47c92546068a11589546c"),
+    (25, False): ("5b52074c6bbae7f4c01d33767e0c7d5d8fad0d0c",
+                  "a7b0d9e795d5494dcd29890758d674ffbb9e4ec2"),
+    (25, True): ("b2c60565098c93ab7d8bd625b328633cc9d65e12",
+                 "bbf3de838dfa90c406bd263c323f84a3f673a734"),
+    (100, False): ("b0169097da9a22299ef301196a0182be4b20a841",
+                   "4161bf7e51b9df085e1816830ba78542d6586e46"),
+    (100, True): ("74b27424794455dbe22d08a7c98dec7edb9f02cc",
+                  "9396c0f8279a46f44e67d8264b38154dc7e83de0"),
+    (400, False): ("70586354f781e2006f28b1c046a0f73723d087c8",
+                   "fc0d4d05ac83c529bea2a4ac498e12eeb3866e8d"),
+    (400, True): ("bad7173312e95c573d7699fb1a6f78052974de80",
+                  "8b1868a5542887e30997141f60094f5eba749f33"),
+}
+
+
+@pytest.mark.parametrize("topology, include_hosts", list(BUILD_BN_SHA1))
+def test_build_bn_pinned(t1, topology, include_hosts):
+    topo = t1 if topology == "t1" else random_topology(7777, topology, topology // 5)
+    bn = bndiag.build_bn(topo, BnParams(include_hosts=include_hosts))
+    doc = json.dumps(bndiag.bn_to_dict(bn), indent=2, sort_keys=True)
+    order = json.dumps([list(bn.priors), list(bn.cpts)])
+    assert (
+        hashlib.sha1(doc.encode()).hexdigest(),
+        hashlib.sha1(order.encode()).hexdigest(),
+    ) == BUILD_BN_SHA1[topology, include_hosts]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=8, max_value=30))
+def test_direct_edges_are_the_alarms_a_fault_raises(seed, n_nodes):
+    """Each fault variable's p-direct children are the alarms that one
+    simulator step emits with that fault alone active."""
+    topo = random_topology(seed, n_nodes=n_nodes, n_services=max(1, n_nodes // 5))
+    params = BnParams(include_hosts=True)
+    bn = bndiag.build_bn(topo, params)
+    direct = {fid: set() for fid in bn.fault_ids}
+    for sid, cpt in bn.cpts.items():
+        for parent, p in zip(cpt.parents, cpt.link_probabilities):
+            if p == params.p_direct:
+                direct[parent].add(sid)
+    for fid, children in direct.items():
+        fault_class, target = bndiag.parse_fault_var(fid)
+        fault = FaultEvent(target=target, fault_class=fault_class, at_tick=1)
+        scenario = Scenario(topology=topo, faults=(fault,), horizon=2)
+        _, raws = simkernel.step(simkernel.init_sim(scenario))
+        alarms = {alarmpipe.translate_alarm(raw) for raw in raws}
+        assert children == {bndiag.symptom_var_id(a.symptom, a.emitter) for a in alarms}, fid
 
 
 def test_build_bn_long_paths_match_quickscore():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sdnheal import bndiag, cli
+from sdnheal import bndiag, cli, netmodel
 from sdnheal.cli import main
 
 from conftest import DATA_DIR
@@ -244,6 +244,11 @@ def _topology_doc_without_node_id():
     return doc
 
 
+def _t1_network_doc():
+    doc = json.loads((DATA_DIR / "t1.topology.json").read_text())
+    return bndiag.bn_to_dict(bndiag.build_bn(netmodel.load_topology(doc)))
+
+
 SCENARIO = "t1-linkfail.scenario.json"
 NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
 
@@ -268,6 +273,19 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
             ["run", "x.scenario.json"],
         ),
         ({"bn.json": {"variables": []}}, ["diagnose", "bn.json", "--evidence", "bn.json"]),
+        # booleans must be JSON booleans: bool("false") is True
+        (
+            {
+                "bn.json": _t1_network_doc(),
+                "e.json": {"symptom:link-down:l1": "false", "symptom:service-down:v1": "false"},
+            },
+            ["diagnose", "bn.json", "--evidence", "e.json"],
+        ),
+        ({"p.json": {"include-hosts": "false"}}, ["run", SCENARIO, "--params", "p.json"]),
+        (
+            {"p.json": {"include-hosts": 0}},
+            ["build-bn", "t1.topology.json", "--params", "p.json"],
+        ),
         ({"t.json": _topology_doc_without_node_id()}, ["validate", "t.json"]),
         ({"t.json": "{not json"}, ["validate", "t.json"]),
         ({"x.scenario.json": "{not json"}, ["run", "x.scenario.json"]),
