@@ -53,35 +53,27 @@ class Alarm:
     tick: int
 
 
-_NMS_EVENTS = {
-    "LINK_DOWN": Symptom.LINK_DOWN,
-    "NODE_UNREACHABLE": Symptom.NODE_UNREACHABLE,
-    "OF_SESSION_LOST": Symptom.OF_SESSION_LOST,
-    "PKT_DROP": Symptom.TRAFFIC_DROP,
+# The simulated emitters' wire format, one (dialect, event) per symptom:
+# `simkernel` encodes its alarms with it and `translate_alarm` decodes them.
+EVENT_OF_SYMPTOM: dict[Symptom, tuple[str, str]] = {
+    Symptom.LINK_DOWN: ("sim-nms", "LINK_DOWN"),
+    Symptom.NODE_UNREACHABLE: ("sim-nms", "NODE_UNREACHABLE"),
+    Symptom.OF_SESSION_LOST: ("sim-nms", "OF_SESSION_LOST"),
+    Symptom.TRAFFIC_DROP: ("sim-nms", "PKT_DROP"),
+    Symptom.SERVICE_DOWN: ("sim-sm", "SERVICE_DOWN"),
+    Symptom.SLA_VIOLATION: ("sim-sm", "SLA_BREACH"),
 }
-_SM_EVENTS = {
-    "SERVICE_DOWN": Symptom.SERVICE_DOWN,
-    "SLA_BREACH": Symptom.SLA_VIOLATION,
-}
-# Already-normalized event names translate to themselves, which makes
-# translation idempotent under re-normalization.
-_NMS_EVENTS.update({s.value: s for s in _NMS_EVENTS.values()})
-_SM_EVENTS.update({s.value: s for s in _SM_EVENTS.values()})
-
-_DIALECTS: dict[str, dict[str, Symptom]] = {
-    "sim-nms": _NMS_EVENTS,
-    "sim-sm": _SM_EVENTS,
-}
+_SYMPTOM_OF_EVENT = {wire: symptom for symptom, wire in EVENT_OF_SYMPTOM.items()}
+_DIALECTS = frozenset(dialect for dialect, _ in EVENT_OF_SYMPTOM.values())
 
 
 def translate_alarm(raw: RawAlarm) -> Alarm:
     """Normalize a dialect-specific raw alarm into the three-level taxonomy."""
-    events = _DIALECTS.get(raw.dialect)
-    if events is None:
-        raise TranslationError(f"unknown dialect: {raw.dialect}")
     event = raw.payload["event"]
-    symptom = events.get(event)
+    symptom = _SYMPTOM_OF_EVENT.get((raw.dialect, event))
     if symptom is None:
+        if raw.dialect not in _DIALECTS:
+            raise TranslationError(f"unknown dialect: {raw.dialect}")
         raise TranslationError(f"unmappable event {event!r} for dialect {raw.dialect}")
     return Alarm(
         level=LEVEL_OF_SYMPTOM[symptom],

@@ -3,10 +3,12 @@
 A topology is a set of typed nodes (one controller, OpenFlow switches,
 legacy routers, access points, hosts), links between them, and services
 deployed as explicit node/link walks from a source host to a sink host.
-All values are immutable; every operation returns a new value.
+It describes structure only: what is broken is the simulator's record
+(`simkernel.SimState.active_faults`), and no code reads a component's
+`state`. All values are immutable; every operation returns a new value.
 
 The JSON document format (schema-version 1) carries each entry's fields
-verbatim:
+verbatim; a `state`, when present, must be "up":
 
     {"schema-version": 1,
      "nodes":    [{"id": "c0", "kind": "controller", "state": "up"}, ...],
@@ -176,6 +178,13 @@ def _parse_enum(enum_cls, raw, what: str):
         raise TopologyError(f"invalid {what} {raw!r} (expected one of: {valid})")
 
 
+def _require_up(entry: dict, what: str) -> None:
+    # nothing reads a component's state, so a document may not claim another
+    state = entry.get("state", "up")
+    if state != "up":
+        raise TopologyError(f"invalid {what} state {state!r} (expected: up)")
+
+
 def load_topology(doc: dict) -> Topology:
     """Parse and validate a decoded topology document.
 
@@ -189,15 +198,16 @@ def load_topology(doc: dict) -> Topology:
 
     nodes = []
     for entry in doc.get("nodes", []):
+        _require_up(entry, "node")
         nodes.append(
             NetworkNode(
                 id=str(entry["id"]),
                 kind=_parse_enum(NodeKind, entry.get("kind"), "node kind"),
-                state=_parse_enum(NodeState, entry.get("state", "up"), "node state"),
             )
         )
     links = []
     for entry in doc.get("links", []):
+        _require_up(entry, "link")
         endpoints = entry.get("endpoints", [])
         if len(endpoints) != 2:
             raise TopologyError(f"link {entry.get('id')!r} needs exactly 2 endpoints")
@@ -205,21 +215,18 @@ def load_topology(doc: dict) -> Topology:
             Link(
                 id=str(entry["id"]),
                 endpoints=(str(endpoints[0]), str(endpoints[1])),
-                state=_parse_enum(LinkState, entry.get("state", "up"), "link state"),
                 management=bool(entry.get("management", False)),
             )
         )
     services = []
     for entry in doc.get("services", []):
+        _require_up(entry, "service")
         services.append(
             Service(
                 id=str(entry["id"]),
                 kind=_parse_enum(ServiceKind, entry.get("kind", "generic"), "service kind"),
                 path=tuple(str(p) for p in entry.get("path", [])),
                 clients=frozenset(str(c) for c in entry.get("clients", [])),
-                state=_parse_enum(
-                    ServiceState, entry.get("state", "up"), "service state"
-                ),
             )
         )
 
@@ -307,16 +314,12 @@ def _validate_path(
 
 
 def _validate_connectivity(t: Topology) -> list[str]:
-    data_nodes = {
-        n.id
-        for n in t.nodes
-        if n.kind is not NodeKind.CONTROLLER and n.state is NodeState.UP
-    }
+    data_nodes = {n.id for n in t.nodes if n.kind is not NodeKind.CONTROLLER}
     if len(data_nodes) <= 1:
         return []
     adjacency: dict[str, set[str]] = {n: set() for n in data_nodes}
     for l in t.links:
-        if l.management or l.state is not LinkState.UP:
+        if l.management:
             continue
         a, b = l.endpoints
         if a in data_nodes and b in data_nodes:
@@ -337,25 +340,17 @@ def _validate_connectivity(t: Topology) -> list[str]:
 
 
 def dependency_set(t: Topology, service_id: str) -> set[str]:
-    """Components a service depends on.
+    """Components a service depends on: the nodes and links on its path.
 
-    Every node and link on the service path, plus the controller whenever
-    any OpenFlow switch is on the path (the controller installs and owns
-    those switches' forwarding state).
+    The controller is not one of them, even with OpenFlow switches on the
+    path: installed flows keep forwarding without it, as the propagation
+    table (`taxonomy.effects`) has it. So the services that depend on a
+    component are `Topology.services_through(component)`.
     """
     try:
-        service = t.service(service_id)
+        return set(t.service(service_id).path)
     except KeyError:
         raise TopologyError(f"unknown service: {service_id}")
-    deps = set(service.path)
-    on_path_switches = [
-        hop
-        for hop in service.path
-        if hop in t._nodes_by_id and t.node(hop).kind is NodeKind.OPENFLOW_SWITCH
-    ]
-    if on_path_switches:
-        deps.add(t.controller_id)
-    return deps
 
 
 def find_path(
@@ -363,9 +358,9 @@ def find_path(
 ) -> list[str] | None:
     """Minimum-hop node/link walk from src to dst, or None if unreachable.
 
-    Only components that are up and outside `avoid` are used; management
-    links never carry data paths. Ties are broken by expanding neighbors
-    in lexicographic (neighbor id, link id) order, so the result is
+    Only components outside `avoid` are used; management links never
+    carry data paths. Ties are broken by expanding neighbors in
+    lexicographic (neighbor id, link id) order, so the result is
     deterministic.
     """
     for endpoint in (src, dst):
@@ -373,14 +368,12 @@ def find_path(
             raise TopologyError(f"unknown node: {endpoint}")
     if src in avoid or dst in avoid:
         return None
-    if t.node(src).state is not NodeState.UP or t.node(dst).state is not NodeState.UP:
-        return None
     if src == dst:
         return [src]
 
     adjacency: dict[str, list[tuple[str, str]]] = {n.id: [] for n in t.nodes}
     for l in t.links:
-        if l.management or l.state is not LinkState.UP or l.id in avoid:
+        if l.management or l.id in avoid:
             continue
         a, b = l.endpoints
         adjacency[a].append((b, l.id))
@@ -388,9 +381,6 @@ def find_path(
     for entries in adjacency.values():
         entries.sort()
 
-    usable = {
-        n.id for n in t.nodes if n.state is NodeState.UP and n.id not in avoid
-    }
     parent: dict[str, tuple[str, str]] = {}
     seen = {src}
     frontier = deque([src])
@@ -399,7 +389,7 @@ def find_path(
         if current == dst:
             break
         for neighbor, link_id in adjacency[current]:
-            if neighbor in seen or neighbor not in usable:
+            if neighbor in seen or neighbor in avoid:
                 continue
             seen.add(neighbor)
             parent[neighbor] = (current, link_id)

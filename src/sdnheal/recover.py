@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Protocol
 
-from . import bndiag, netmodel
+from . import bndiag
 from .bndiag import Diagnosis, Verdict
 from .netmodel import ServiceState, Topology
 from .taxonomy import FaultClass
@@ -145,7 +145,8 @@ def select_strategy(
     """Instantiate the table entry for the top diagnosed fault.
 
     Dependent-services scope expands into one action per service whose
-    dependency set contains the target, in lexicographic service order,
+    path runs through the target (`Topology.services_through`, the index
+    the propagation table reads), in lexicographic service order,
     each carrying the remaining templates as its fallback chain. When no
     service depends on the target the fallback chain runs directly.
     """
@@ -162,11 +163,6 @@ def select_strategy(
 
     primary = templates[0]
     if primary.scope == "dependent-services":
-        dependents = sorted(
-            s.id
-            for s in topology.services
-            if target in netmodel.dependency_set(topology, s.id)
-        )
         actions = [
             RecoveryAction(
                 kind=primary.kind,
@@ -174,7 +170,7 @@ def select_strategy(
                 params={"avoid": (target,), **primary.params},
                 fallback=fallback,
             )
-            for service_id in dependents
+            for service_id in topology.services_through(target)
         ]
         if not actions:
             if fallback is None:

@@ -39,7 +39,7 @@ from enum import Enum
 from functools import cached_property
 
 from . import netmodel, taxonomy
-from .alarmpipe import RawAlarm
+from .alarmpipe import EVENT_OF_SYMPTOM, RawAlarm
 from .netmodel import (
     NodeKind,
     ServiceState,
@@ -240,15 +240,11 @@ def _validate_scenario(s: Scenario) -> None:
 
 
 def init_sim(scenario: Scenario) -> SimState:
-    """Fresh state at tick 0: no faults, every component state reset to up."""
-    topology = scenario.topology
-    for component in (*topology.nodes, *topology.links, *topology.services):
-        if component.state.value != "up":
-            topology = netmodel.set_component_state(topology, component.id, "up")
+    """Fresh state at tick 0: the scenario's topology, no faults, no tickets."""
     return SimState(
         scenario=scenario,
         tick=0,
-        topology=topology,
+        topology=scenario.topology,
         active_faults=frozenset(),
         repair_tickets=frozenset(),
         rng=RngHold(random.Random(scenario.seed)),
@@ -256,18 +252,8 @@ def init_sim(scenario: Scenario) -> SimState:
     )
 
 
-_EVENT_OF_SYMPTOM = {
-    Symptom.LINK_DOWN: ("sim-nms", "LINK_DOWN"),
-    Symptom.NODE_UNREACHABLE: ("sim-nms", "NODE_UNREACHABLE"),
-    Symptom.OF_SESSION_LOST: ("sim-nms", "OF_SESSION_LOST"),
-    Symptom.TRAFFIC_DROP: ("sim-nms", "PKT_DROP"),
-    Symptom.SERVICE_DOWN: ("sim-sm", "SERVICE_DOWN"),
-    Symptom.SLA_VIOLATION: ("sim-sm", "SLA_BREACH"),
-}
-
-
 def _raw_alarm(symptom: Symptom, emitter: str, tick: int) -> RawAlarm:
-    dialect, event = _EVENT_OF_SYMPTOM[symptom]
+    dialect, event = EVENT_OF_SYMPTOM[symptom]
     return RawAlarm(dialect=dialect, payload={"emitter": emitter, "event": event}, tick=tick)
 
 

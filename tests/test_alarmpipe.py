@@ -51,11 +51,16 @@ def test_translate_requires_payload_keys():
         RawAlarm(dialect="sim-nms", payload={"event": "LINK_DOWN"}, tick=0)
 
 
-def test_translate_idempotent_under_renormalization():
-    for dialect, event in [("sim-nms", "LINK_DOWN"), ("sim-sm", "SERVICE_DOWN")]:
-        first = alarmpipe.translate_alarm(raw(dialect, "x1", event))
-        again = alarmpipe.translate_alarm(raw(dialect, "x1", first.symptom.value))
-        assert first == again
+def test_translate_decodes_every_encoded_symptom():
+    for symptom, (dialect, event) in alarmpipe.EVENT_OF_SYMPTOM.items():
+        alarm = alarmpipe.translate_alarm(raw(dialect, "x1", event))
+        assert alarm == Alarm(LEVEL_OF_SYMPTOM[symptom], "x1", symptom, 3)
+    assert set(alarmpipe.EVENT_OF_SYMPTOM) == set(Symptom)
+
+
+def test_translate_rejects_normalized_event_names():
+    with pytest.raises(TranslationError, match="unmappable event"):
+        alarmpipe.translate_alarm(raw("sim-nms", "l1", Symptom.LINK_DOWN.value))
 
 
 def test_level_of_symptom_total_and_consistent():

@@ -96,6 +96,24 @@ def test_run_writes_report(workdir):
     assert doc["records"][0]["recovered"] is True
 
 
+def test_run_controller_physical_failure_is_repaired(workdir):
+    # no service depends on the controller, so the plan is its ticket
+    scenario = json.loads((workdir / SCENARIO).read_text())
+    scenario["faults"] = [{"target": "c0", "class": "physical-failure", "at-tick": 2}]
+    path = workdir / "t1-c0fail.scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = workdir / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (record,) = doc["records"]
+    assert [(a["kind"], a["target"]) for a in record["plan"]] == [
+        ("open-repair-ticket", "c0")
+    ]
+    # c0 stops raising node-unreachable once its repair lands
+    last_alarm = max(a["tick"] for a in doc["alarm-log"] if a["emitter"] == "c0")
+    assert last_alarm < doc["scenario"]["horizon"]
+
+
 def host_failure_scenario(workdir) -> Path:
     scenario = json.loads((workdir / "t1-linkfail.scenario.json").read_text())
     scenario["faults"] = [{"target": "h1", "class": "physical-failure", "at-tick": 2}]
@@ -244,6 +262,13 @@ def _topology_doc_without_node_id():
     return doc
 
 
+def _t1_doc_with_state(category, cid, state):
+    doc = json.loads((DATA_DIR / "t1.topology.json").read_text())
+    (entry,) = (e for e in doc[category] if e["id"] == cid)
+    entry["state"] = state
+    return doc
+
+
 def _t1_network_doc():
     doc = json.loads((DATA_DIR / "t1.topology.json").read_text())
     return bndiag.bn_to_dict(bndiag.build_bn(netmodel.load_topology(doc)))
@@ -299,6 +324,13 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         (
             {"x.scenario.json": _scenario_doc(topology="missing.topology.json")},
             ["run", "x.scenario.json"],
+        ),
+        # nothing reads a component's state, so only "up" is accepted
+        ({"t.json": _t1_doc_with_state("nodes", "s3", "down")}, ["validate", "t.json"]),
+        ({"t.json": _t1_doc_with_state("links", "l1", "down")}, ["validate", "t.json"]),
+        (
+            {"t.json": _t1_doc_with_state("services", "v1", "degraded")},
+            ["validate", "t.json"],
         ),
     ],
 )

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdnheal import netmodel
-from sdnheal.bndiag import Diagnosis, Verdict
+from sdnheal import bndiag, netmodel, taxonomy
+from sdnheal.bndiag import BnParams, Diagnosis, Verdict
 from sdnheal.netmodel import ServiceState
 from sdnheal.recover import (
     ActionKind,
@@ -16,7 +18,9 @@ from sdnheal.recover import (
     strategy_table_from_dict,
     verify_recovery,
 )
-from sdnheal.taxonomy import FaultClass
+from sdnheal.taxonomy import FaultClass, Symptom
+
+from topogen import random_topology
 
 
 def diag(fault_id, p=0.9, verdict=Verdict.CONFIDENT) -> Diagnosis:
@@ -126,6 +130,45 @@ def test_plan_targets_trace_back_to_diagnosis(t1):
         assert first.target == target or target in netmodel.dependency_set(
             t1, first.target
         )
+
+
+def test_select_strategy_controller_physical_failure_gets_ticket(t1):
+    # installed flows keep forwarding without the controller, so no
+    # service depends on it and its repair ticket runs directly
+    plan = select_strategy(diag("fault:physical:c0"), t1, default_strategy_table())
+    assert plan == [RecoveryAction(ActionKind.OPEN_REPAIR_TICKET, "c0")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=8, max_value=30))
+def test_reroute_targets_are_the_services_the_fault_affects(seed, n_nodes):
+    """A confident physical failure or traffic drop reroutes exactly the
+    services whose symptoms the propagation table ties to it, which are
+    the services through its target; with none, its ticket runs."""
+    topo = random_topology(seed, n_nodes=n_nodes, n_services=max(1, n_nodes // 5))
+    table = default_strategy_table()
+    rerouted_classes = (FaultClass.PHYSICAL_FAILURE, FaultClass.INTERFACE_TRAFFIC_DROP)
+    for fid in bndiag.build_bn(topo, BnParams(include_hosts=True)).fault_ids:
+        fault_class, target = bndiag.parse_fault_var(fid)
+        if fault_class not in rerouted_classes:
+            continue
+        direct, indirect = taxonomy.effects(topo, fault_class, target)
+        affected = sorted(
+            {
+                emitter
+                for symptom, emitter in direct + indirect
+                if symptom in (Symptom.SERVICE_DOWN, Symptom.SLA_VIOLATION)
+            }
+        )
+        plan = select_strategy(diag(fid), topo, table)
+        reroutes = [a.target for a in plan if a.kind is ActionKind.REROUTE]
+        assert reroutes == affected == list(topo.services_through(target)), fid
+        if not reroutes:
+            assert plan == [RecoveryAction(ActionKind.OPEN_REPAIR_TICKET, target)], fid
+    controller = topo.controller_id
+    assert select_strategy(diag(f"fault:physical:{controller}"), topo, table) == [
+        RecoveryAction(ActionKind.OPEN_REPAIR_TICKET, controller)
+    ]
 
 
 # ---------------------------------------------------------------------------

