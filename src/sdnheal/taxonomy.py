@@ -38,6 +38,23 @@ class Symptom(str, Enum):
     SLA_VIOLATION = "sla-violation"
 
 
+# The members that the vocabulary and the propagation table read, as module
+# names: on Python 3.11 `Symptom.LINK_DOWN` goes through
+# `EnumType.__getattr__` (about 0.15 us a lookup), and `effects` runs once
+# per fault in every network build.
+_LINK_DOWN = Symptom.LINK_DOWN
+_NODE_UNREACHABLE = Symptom.NODE_UNREACHABLE
+_OF_SESSION_LOST = Symptom.OF_SESSION_LOST
+_TRAFFIC_DROP = Symptom.TRAFFIC_DROP
+_SERVICE_DOWN = Symptom.SERVICE_DOWN
+_SLA_VIOLATION = Symptom.SLA_VIOLATION
+_PHYSICAL_FAILURE = FaultClass.PHYSICAL_FAILURE
+_INTERFACE_TRAFFIC_DROP = FaultClass.INTERFACE_TRAFFIC_DROP
+_OPENFLOW_AGENT_CRASH = FaultClass.OPENFLOW_AGENT_CRASH
+_SERVICE_FAULT = FaultClass.SERVICE_FAULT
+_HOST = NodeKind.HOST
+_SWITCH = NodeKind.OPENFLOW_SWITCH
+
 # Fixed (level, symptom) pairing: physical symptoms come from equipment
 # monitoring, transport symptoms from the control/forwarding machinery,
 # service symptoms from the service manager.
@@ -61,17 +78,17 @@ def symptom_vocabulary(
     ordering is deterministic (symptom declaration order, then emitter id,
     which is the order a `Topology` keeps).
     """
-    out: list[tuple[Symptom, str]] = []
-    nodes, links, services = topology.nodes, topology.links, topology.services
-    switches = [n for n in nodes if n.kind is NodeKind.OPENFLOW_SWITCH]
-    monitored = [n for n in nodes if include_hosts or n.kind is not NodeKind.HOST]
-
-    out.extend((Symptom.LINK_DOWN, l.id) for l in links)
-    out.extend((Symptom.NODE_UNREACHABLE, n.id) for n in monitored)
-    out.extend((Symptom.OF_SESSION_LOST, s.id) for s in switches)
-    out.extend((Symptom.TRAFFIC_DROP, l.id) for l in links)
-    out.extend((Symptom.SERVICE_DOWN, v.id) for v in services)
-    out.extend((Symptom.SLA_VIOLATION, v.id) for v in services)
+    nodes = topology.nodes
+    links = [l.id for l in topology.links]
+    services = [v.id for v in topology.services]
+    monitored = [n.id for n in nodes if include_hosts or n.kind is not _HOST]
+    switches = [n.id for n in nodes if n.kind is _SWITCH]
+    out: list[tuple[Symptom, str]] = [(_LINK_DOWN, l) for l in links]
+    out += [(_NODE_UNREACHABLE, n) for n in monitored]
+    out += [(_OF_SESSION_LOST, s) for s in switches]
+    out += [(_TRAFFIC_DROP, l) for l in links]
+    out += [(_SERVICE_DOWN, v) for v in services]
+    out += [(_SLA_VIOLATION, v) for v in services]
     return out
 
 
@@ -111,32 +128,31 @@ def effects(
     concern (`symptom_vocabulary`).
     """
     through = topology.services_through(target)
-    if fault_class is FaultClass.PHYSICAL_FAILURE:
-        direct = [(Symptom.SERVICE_DOWN, v) for v in through]
-        indirect = [(Symptom.SLA_VIOLATION, v) for v in through]
+    if fault_class is _PHYSICAL_FAILURE:
+        direct = [(_SERVICE_DOWN, v) for v in through]
+        indirect = [(_SLA_VIOLATION, v) for v in through]
         if netmodel.component_category(topology, target) == "link":
-            direct += ((Symptom.LINK_DOWN, target), (Symptom.TRAFFIC_DROP, target))
+            direct += ((_LINK_DOWN, target), (_TRAFFIC_DROP, target))
         else:
-            direct.append((Symptom.NODE_UNREACHABLE, target))
+            direct.append((_NODE_UNREACHABLE, target))
             for link in topology.incident_links(target):
-                direct.append((Symptom.LINK_DOWN, link))
-                indirect.append((Symptom.TRAFFIC_DROP, link))
-            if topology.node(target).kind is NodeKind.OPENFLOW_SWITCH:
-                indirect.append((Symptom.OF_SESSION_LOST, target))
-    elif fault_class is FaultClass.INTERFACE_TRAFFIC_DROP:
-        direct = [(Symptom.SLA_VIOLATION, v) for v in through]
-        direct.append((Symptom.TRAFFIC_DROP, target))
+                direct.append((_LINK_DOWN, link))
+                indirect.append((_TRAFFIC_DROP, link))
+            if topology.node(target).kind is _SWITCH:
+                indirect.append((_OF_SESSION_LOST, target))
+    elif fault_class is _INTERFACE_TRAFFIC_DROP:
+        direct = [(_SLA_VIOLATION, v) for v in through]
+        direct.append((_TRAFFIC_DROP, target))
         indirect = []
-    elif fault_class is FaultClass.OPENFLOW_AGENT_CRASH:
-        direct = [(Symptom.OF_SESSION_LOST, target)]
-        indirect = [(Symptom.SERVICE_DOWN, v) for v in through]
-        indirect += [(Symptom.SLA_VIOLATION, v) for v in through]
-    elif fault_class is FaultClass.SERVICE_FAULT:
-        direct = [(Symptom.SERVICE_DOWN, target)]
-        indirect = [(Symptom.SLA_VIOLATION, target)]
+    elif fault_class is _OPENFLOW_AGENT_CRASH:
+        direct = [(_OF_SESSION_LOST, target)]
+        indirect = [(_SERVICE_DOWN, v) for v in through]
+        indirect += [(_SLA_VIOLATION, v) for v in through]
+    elif fault_class is _SERVICE_FAULT:
+        direct = [(_SERVICE_DOWN, target)]
+        indirect = [(_SLA_VIOLATION, target)]
     else:  # controller crash
-        switches = (n for n in topology.nodes if n.kind is NodeKind.OPENFLOW_SWITCH)
-        direct = [(Symptom.OF_SESSION_LOST, n.id) for n in switches]
+        direct = [(_OF_SESSION_LOST, n.id) for n in topology.nodes if n.kind is _SWITCH]
         indirect = []
     return direct, indirect
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnheal import alarmpipe, bndiag, healloop, simkernel
+from sdnheal import alarmpipe, bndiag, healloop, simkernel, taxonomy
 from sdnheal.bndiag import (
     BnError,
     BnParams,
@@ -165,6 +165,72 @@ def test_build_bn_pinned(t1, topology, include_hosts):
         hashlib.sha1(doc.encode()).hexdigest(),
         hashlib.sha1(order.encode()).hexdigest(),
     ) == BUILD_BN_SHA1[topology, include_hosts]
+
+
+def _reference_build_bn(t, params):
+    """`build_bn` as it was written before it walked faults in id order: a
+    dict of parents per symptom, each sorted, then every variable sorted."""
+    nodes = [n for n in t.nodes if params.include_hosts or n.kind is not NodeKind.HOST]
+    links = [l.id for l in t.links]
+    switches = [n.id for n in nodes if n.kind is NodeKind.OPENFLOW_SWITCH]
+    faults = [
+        (FaultClass.PHYSICAL_FAILURE, [n.id for n in nodes] + links, params.prior_physical),
+        (FaultClass.INTERFACE_TRAFFIC_DROP, links, params.prior_drop),
+        (FaultClass.OPENFLOW_AGENT_CRASH, switches, params.prior_agent),
+        (FaultClass.CONTROLLER_CRASH, [t.controller_id], params.prior_controller),
+        (FaultClass.SERVICE_FAULT, [s.id for s in t.services], params.prior_service),
+    ]
+    variables, priors = [], {}
+    vocabulary = taxonomy.symptom_vocabulary(t, include_hosts=params.include_hosts)
+    edges = {key: {} for key in vocabulary}
+    for fc, targets, prior in faults:
+        for target in targets:
+            vid = bndiag.fault_var_id(fc, target)
+            variables.append(bndiag.BnVariable(id=vid, kind="fault", target=target, fault_class=fc))
+            priors[vid] = prior
+            direct, indirect = taxonomy.effects(t, fc, target)
+            for key in direct:
+                edges[key][vid] = params.p_direct
+            for key in indirect:
+                edges[key][vid] = params.p_indirect
+    cpts = {}
+    for (symptom, emitter), parents in edges.items():
+        vid = bndiag.symptom_var_id(symptom, emitter)
+        ordered = tuple(sorted(parents))
+        variables.append(bndiag.BnVariable(id=vid, kind="symptom", target=emitter, symptom=symptom))
+        cpts[vid] = bndiag.NoisyOrCpt(
+            child=vid,
+            parents=ordered,
+            link_probabilities=tuple(parents[p] for p in ordered),
+            leak=params.leak,
+        )
+    variables.sort(key=lambda v: (v.kind, v.id))
+    return bndiag.BayesNet(variables=tuple(variables), priors=priors, cpts=cpts)
+
+
+def _bits(resting):
+    return [(fid, pair and tuple(x.hex() for x in pair)) for fid, pair in resting.pairs.items()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=8, max_value=60),
+    st.booleans(),
+    st.sampled_from([{}, {"p_indirect": 0.95}, {"leak": 0.0}, {"leak": 1.0}]),
+)
+def test_build_bn_equals_the_reference_build(seed, n_nodes, include_hosts, changes):
+    topo = random_topology(seed, n_nodes=n_nodes, n_services=max(1, n_nodes // 5))
+    params = BnParams(include_hosts=include_hosts, **changes)
+    bn, reference = bndiag.build_bn(topo, params), _reference_build_bn(topo, params)
+    assert bndiag.bn_to_dict(bn) == bndiag.bn_to_dict(reference)
+    assert list(bn.priors) == list(reference.priors)
+    assert list(bn.cpts) == list(reference.cpts)
+    assert bn.fault_ids == reference.fault_ids
+    assert bn.symptom_ids == reference.symptom_ids
+    assert list(bn.compiled.findings.items()) == list(reference.compiled.findings.items())
+    assert _bits(bn.compiled.open) == _bits(reference.compiled.open)
+    assert _bits(bn.compiled.closed) == _bits(reference.compiled.closed)
 
 
 @settings(max_examples=25, deadline=None)

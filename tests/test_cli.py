@@ -274,6 +274,39 @@ def _t1_network_doc():
     return bndiag.bn_to_dict(bndiag.build_bn(netmodel.load_topology(doc)))
 
 
+def _two_fault_doc(cpt=None, variables=None, extra_cpt=False):
+    """Faults A and B behind one symptom Y, with the CPT's entries changed,
+    the variables at the given positions repeated, or a second CPT for Y."""
+    doc = {
+        "schema-version": 1,
+        "variables": [
+            {"id": "fault:service:A", "kind": "fault", "target": "A",
+             "fault-class": "service-fault"},
+            {"id": "fault:service:B", "kind": "fault", "target": "B",
+             "fault-class": "service-fault"},
+            {"id": "symptom:service-down:Y", "kind": "symptom", "target": "Y",
+             "symptom": "service-down"},
+        ],
+        "priors": {"fault:service:A": 0.01, "fault:service:B": 0.01},
+        "cpts": [{
+            "child": "symptom:service-down:Y",
+            "parents": ["fault:service:A", "fault:service:B"],
+            "link-probabilities": [0.9, 0.9],
+            "leak": 0.001,
+        }],
+    }
+    doc["cpts"][0].update(cpt or {})
+    doc["variables"] += [doc["variables"][i] for i in variables or ()]
+    if extra_cpt:
+        doc["cpts"].append(dict(doc["cpts"][0], **{"link-probabilities": [0.5, 0.5]}))
+    return doc
+
+
+def _diagnose_case(network_doc):
+    documents = {"bn.json": network_doc, "e.json": {"symptom:service-down:Y": True}}
+    return documents, ["diagnose", "bn.json", "--evidence", "e.json"]
+
+
 SCENARIO = "t1-linkfail.scenario.json"
 NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
 
@@ -332,6 +365,15 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
             {"t.json": _t1_doc_with_state("services", "v1", "degraded")},
             ["validate", "t.json"],
         ),
+        # networks whose posteriors would be wrong: zip would drop fault B,
+        # probabilities outside [0,1] give posteriors outside it, and a
+        # repeated id lists a fault twice
+        _diagnose_case(_two_fault_doc(cpt={"link-probabilities": [0.9]})),
+        _diagnose_case(_two_fault_doc(cpt={"link-probabilities": [1.7, -0.2]})),
+        _diagnose_case(_two_fault_doc(cpt={"leak": 2.0})),
+        _diagnose_case(_two_fault_doc(variables=[0])),
+        _diagnose_case(_two_fault_doc(cpt={"parents": ["fault:service:A"] * 2})),
+        _diagnose_case(_two_fault_doc(extra_cpt=True)),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
