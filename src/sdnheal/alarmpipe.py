@@ -9,9 +9,8 @@ window into observed symptom variables for the diagnosis network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import bndiag
 from .bndiag import BayesNet, EvidenceMap
@@ -33,20 +32,14 @@ class EvidencePolicy(str, Enum):
     OPEN_WORLD = "open-world"
 
 
-@dataclass(frozen=True)
-class RawAlarm:
+class RawAlarm(NamedTuple):
     dialect: str
-    payload: dict[str, str] = field(compare=False)
-    tick: int = 0
-
-    def __post_init__(self) -> None:
-        for key in ("emitter", "event"):
-            if key not in self.payload:
-                raise TranslationError(f"raw alarm payload missing {key!r}")
+    emitter: str
+    event: str
+    tick: int
 
 
-@dataclass(frozen=True, order=True)
-class Alarm:
+class Alarm(NamedTuple):
     level: AlarmLevel
     emitter: str
     symptom: Symptom
@@ -69,18 +62,13 @@ _DIALECTS = frozenset(dialect for dialect, _ in EVENT_OF_SYMPTOM.values())
 
 def translate_alarm(raw: RawAlarm) -> Alarm:
     """Normalize a dialect-specific raw alarm into the three-level taxonomy."""
-    event = raw.payload["event"]
-    symptom = _SYMPTOM_OF_EVENT.get((raw.dialect, event))
+    dialect, emitter, event, tick = raw
+    symptom = _SYMPTOM_OF_EVENT.get((dialect, event))
     if symptom is None:
-        if raw.dialect not in _DIALECTS:
-            raise TranslationError(f"unknown dialect: {raw.dialect}")
-        raise TranslationError(f"unmappable event {event!r} for dialect {raw.dialect}")
-    return Alarm(
-        level=LEVEL_OF_SYMPTOM[symptom],
-        emitter=raw.payload["emitter"],
-        symptom=symptom,
-        tick=raw.tick,
-    )
+        if dialect not in _DIALECTS:
+            raise TranslationError(f"unknown dialect: {dialect}")
+        raise TranslationError(f"unmappable event {event!r} for dialect {dialect}")
+    return Alarm(LEVEL_OF_SYMPTOM[symptom], emitter, symptom, tick)
 
 
 def collect_window(alarms: Iterable[Alarm], window: tuple[int, int]) -> set[Alarm]:

@@ -183,9 +183,6 @@ _PARAM_KEYS = {
     "leak": "leak",
     "include-hosts": "include_hosts",
 }
-# Accepted and ignored, so that older parameter documents still load: the
-# parent cap only guarded table-based inference against 2^k CPT tables.
-_NO_OP_KEYS = {"max-parents"}
 _PRIOR_KEYS = {
     FaultClass.PHYSICAL_FAILURE.value: "prior_physical",
     FaultClass.OPENFLOW_AGENT_CRASH.value: "prior_agent",
@@ -218,7 +215,7 @@ def params_from_dict(doc: dict | None) -> BnParams:
             elif not isinstance(value, bool):
                 raise BnError(f"include-hosts must be true or false: {value!r}")
             kwargs[field] = value
-        elif key not in _NO_OP_KEYS:
+        else:
             raise BnError(f"unknown parameter key: {key}")
     return replace(BnParams(), **kwargs)
 
@@ -475,11 +472,10 @@ def min_fill_order(
 ) -> list[str]:
     """Greedy min-fill elimination order with lexicographic tie-break.
 
-    Variables in `last` are eliminated only after all the others, in
-    min-fill order among themselves. Fill costs are cached and recomputed
-    only for vertices whose neighborhood changed; a zero-cost (simplicial)
-    vertex short-circuits the scan. Both are pure speedups: the selected
-    order is identical to the naive argmin over (fill cost, variable id).
+    Each step eliminates the variable whose neighbors lack the fewest
+    edges among themselves, the smallest id among equals, and joins its
+    neighbors. Variables in `last` are eliminated only after all the
+    others, in min-fill order among themselves.
     """
     neighbors: dict[str, set[str]] = {v: set() for v in variables}
     for scope in scopes:
@@ -498,34 +494,14 @@ def min_fill_order(
             if b not in neighbors[a]
         )
 
-    cost = {v: fill_cost(v) for v in variables}
     order = []
-    for remaining in (sorted(variables - last), sorted(variables & last)):
-        while remaining:
-            best = None
-            for v in remaining:  # sorted, so the first zero wins ties correctly
-                if cost[v] == 0:
-                    best = v
-                    break
-                if best is None or cost[v] < cost[best]:
-                    best = v
-            order.append(best)
-            remaining.remove(best)
-
-            around = list(neighbors[best])
-            touched = set(around)
-            for i, a in enumerate(around):
-                for b in around[i + 1 :]:
-                    if b not in neighbors[a]:
-                        neighbors[a].add(b)
-                        neighbors[b].add(a)
-                        touched |= neighbors[a] & neighbors[b]
-            for a in around:
-                neighbors[a].discard(best)
-            del neighbors[best]
-            for v in touched:
-                if v in neighbors:
-                    cost[v] = fill_cost(v)
+    while neighbors:
+        best = min(neighbors, key=lambda v: (v in last, fill_cost(v), v))
+        order.append(best)
+        around = neighbors.pop(best)
+        for a in around:
+            neighbors[a] |= around
+            neighbors[a] -= {a, best}
     return order
 
 
@@ -812,9 +788,9 @@ def _eliminate(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     faults and the auxiliary variables go through one variable-elimination
     sweep along a min-fill order. A reverse sweep then sends each bucket
     the product of everything outside its subtree, so every fault marginal
-    is read off its own bucket. A bucket with many children (a controller
-    crash makes a star) builds those messages from prefix and suffix
-    products, in time linear in the number of children.
+    is read off its own bucket. A bucket with many children builds those
+    messages from prefix and suffix products, in time linear in the
+    number of children.
     """
     net = bn.compiled
     factors = compile_factors(bn, evidence)

@@ -15,6 +15,7 @@ maps exceptions to exit statuses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -185,7 +186,10 @@ def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(**asdict(healloop.LoopConfig()))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: parsing leaves
+    it unchanged, and building it costs about as much as a small run."""
     parser = argparse.ArgumentParser(
         prog="sdnheal",
         description="Self-healing closed loop over a simulated SDN",

@@ -254,7 +254,7 @@ def init_sim(scenario: Scenario) -> SimState:
 
 def _raw_alarm(symptom: Symptom, emitter: str, tick: int) -> RawAlarm:
     dialect, event = EVENT_OF_SYMPTOM[symptom]
-    return RawAlarm(dialect=dialect, payload={"emitter": emitter, "event": event}, tick=tick)
+    return RawAlarm(dialect, emitter, event, tick)
 
 
 def _poisson(rng: random.Random, rate: float) -> int:

@@ -14,7 +14,7 @@ from sdnheal.taxonomy import LEVEL_OF_SYMPTOM, AlarmLevel, Symptom
 
 
 def raw(dialect, emitter, event, tick=3) -> RawAlarm:
-    return RawAlarm(dialect=dialect, payload={"emitter": emitter, "event": event}, tick=tick)
+    return RawAlarm(dialect, emitter, event, tick)
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +46,12 @@ def test_translate_unmappable_event():
         alarmpipe.translate_alarm(raw("sim-nms", "l1", "SOMETHING_ELSE"))
 
 
-def test_translate_requires_payload_keys():
-    with pytest.raises(TranslationError, match="missing"):
-        RawAlarm(dialect="sim-nms", payload={"event": "LINK_DOWN"}, tick=0)
+def test_raw_alarms_differ_by_emitter_and_event():
+    base = raw("sim-nms", "l1", "LINK_DOWN")
+    other_emitter = raw("sim-nms", "s9", "LINK_DOWN")
+    other_event = raw("sim-nms", "l1", "PKT_DROP")
+    assert base != other_emitter and base != other_event
+    assert len({base, other_emitter, other_event}) == 3
 
 
 def test_translate_decodes_every_encoded_symptom():

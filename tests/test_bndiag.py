@@ -272,10 +272,6 @@ def _longest_service_link(topo):
     return service.path[len(service.path) // 2]
 
 
-def test_params_from_dict_accepts_max_parents_as_no_op():
-    assert bndiag.params_from_dict({"max-parents": 10}) == BnParams()
-
-
 def test_bn_dump_round_trip(t1):
     bn = bndiag.build_bn(t1)
     assert bndiag.bn_from_dict(bndiag.bn_to_dict(bn)) == bn
@@ -396,18 +392,22 @@ def _naive_min_fill(variables, scopes, last=frozenset()):
     return order
 
 
+def _random_graph(rng):
+    n = rng.randint(3, 60)
+    variables = {f"x{i:02d}" for i in range(n)}
+    pool = sorted(variables)
+    scopes = [
+        tuple(rng.sample(pool, k=rng.randint(1, min(4, n))))
+        for _ in range(rng.randint(2, 2 * n))
+    ]
+    return variables, scopes, pool
+
+
 def test_min_fill_order_matches_naive_greedy():
-    """The cached/short-circuited implementation must pick the exact same
-    order as the straightforward argmin over (fill cost, id)."""
+    """The order is the straightforward argmin over (fill cost, id)."""
     rng = random.Random(99)
     for _ in range(25):
-        n = rng.randint(3, 14)
-        variables = {f"x{i:02d}" for i in range(n)}
-        pool = sorted(variables)
-        scopes = [
-            tuple(rng.sample(pool, k=rng.randint(1, min(4, n))))
-            for _ in range(rng.randint(2, 12))
-        ]
+        variables, scopes, _ = _random_graph(rng)
         assert bndiag.min_fill_order(variables, scopes) == _naive_min_fill(
             variables, scopes
         )
@@ -416,14 +416,8 @@ def test_min_fill_order_matches_naive_greedy():
 def test_min_fill_order_puts_last_variables_last():
     rng = random.Random(98)
     for _ in range(25):
-        n = rng.randint(3, 14)
-        variables = {f"x{i:02d}" for i in range(n)}
-        pool = sorted(variables)
-        scopes = [
-            tuple(rng.sample(pool, k=rng.randint(1, min(4, n))))
-            for _ in range(rng.randint(2, 12))
-        ]
-        last = frozenset(rng.sample(pool, k=rng.randint(0, n)))
+        variables, scopes, pool = _random_graph(rng)
+        last = frozenset(rng.sample(pool, k=rng.randint(0, len(pool))))
         order = bndiag.min_fill_order(variables, scopes, last)
         assert order == _naive_min_fill(variables, scopes, last)
         assert set(order[len(order) - len(last) :]) == last
@@ -678,13 +672,19 @@ def _findings_sharing_parents(n_shared):
     return bn, {sid: True for sid in cpts}
 
 
-@pytest.mark.parametrize("n_shared", [bndiag.MAX_SHARED_FAULTS, bndiag.MAX_SHARED_FAULTS + 1])
-def test_elimination_runs_only_above_the_shared_fault_cap(n_shared, monkeypatch):
+def _record_orders(monkeypatch) -> list:
+    """The arguments of every `min_fill_order` call from here on."""
     orders = []
     real = bndiag.min_fill_order
     monkeypatch.setattr(
         bndiag, "min_fill_order", lambda *args: orders.append(args) or real(*args)
     )
+    return orders
+
+
+@pytest.mark.parametrize("n_shared", [bndiag.MAX_SHARED_FAULTS, bndiag.MAX_SHARED_FAULTS + 1])
+def test_elimination_runs_only_above_the_shared_fault_cap(n_shared, monkeypatch):
+    orders = _record_orders(monkeypatch)
     bn, evidence = _findings_sharing_parents(n_shared)
     _assert_matches_quickscore(bn, evidence)
     assert len(orders) == (n_shared > bndiag.MAX_SHARED_FAULTS)
@@ -757,6 +757,27 @@ def test_overlapping_faults_match_an_oracle(seed, n_nodes, data):
         assert oracle, "no fault is covered"
         for fid, p in oracle.items():
             assert engine.marginal(fid) == pytest.approx(p, abs=1e-9), fid
+
+
+def test_node_failure_above_the_shared_fault_cap_matches_an_oracle(monkeypatch):
+    """A switch failure on a 20-node topology raises findings that share
+    more than MAX_SHARED_FAULTS faults, so the call falls back to
+    elimination; its component has 22 faults, which the benchmark's
+    oracle enumerates."""
+    topo = random_topology(49, n_nodes=20, n_services=4)
+    bn = bndiag.build_bn(topo)
+    evidence = _overlapping_incident(topo, bn, [(FaultClass.PHYSICAL_FAILURE, "n11")])
+    positive = [sid for sid, seen in evidence.items() if seen]
+    blamed = Counter(parent for sid in positive for parent in bn.cpts[sid].parents)
+    assert sum(n > 1 for n in blamed.values()) > bndiag.MAX_SHARED_FAULTS
+    orders = _record_orders(monkeypatch)
+    engine = posterior_marginals(bn, evidence)
+    assert len(orders) == 1
+    oracle = _component_oracle()(bn, evidence)
+    assert oracle.keys() == bn.priors.keys()
+    for fid, p in oracle.items():
+        assert engine.marginal(fid) == pytest.approx(p, abs=1e-9), fid
+    assert engine.ranking()[0][0] == "fault:physical:n11"
 
 
 def test_improbable_evidence_keeps_full_precision():

@@ -374,6 +374,8 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         _diagnose_case(_two_fault_doc(variables=[0])),
         _diagnose_case(_two_fault_doc(cpt={"parents": ["fault:service:A"] * 2})),
         _diagnose_case(_two_fault_doc(extra_cpt=True)),
+        # the parent cap guarded table-based inference, which is gone
+        ({"p.json": {"max-parents": 10}}, ["run", SCENARIO, "--params", "p.json"]),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
@@ -395,6 +397,20 @@ def test_run_echoes_policy_flag_as_override(workdir):
     loop = json.loads(out.read_text())["parameters"]["loop"]
     assert loop["evidence-policy"] == {"value": "open-world", "source": "override"}
     assert loop["threshold"] == {"value": 0.5, "source": "default"}
+
+
+def test_run_flags_do_not_carry_over_to_the_next_call(workdir):
+    """The parser is kept between calls; a call's flags must not leak."""
+    first, second = workdir / "first.json", workdir / "second.json"
+    scenario = str(workdir / SCENARIO)
+    argv = ["run", scenario, "--suggest-only", "--window", "2", "--out", str(first)]
+    assert main(argv) == 0
+    assert main(["run", scenario, "--out", str(second)]) == 0
+    loops = [json.loads(out.read_text())["parameters"]["loop"] for out in (first, second)]
+    assert loops[0]["suggest-only"]["source"] == "override"
+    assert loops[0]["evidence-window"] == {"value": 2, "source": "override"}
+    assert loops[1]["suggest-only"]["source"] == "default"
+    assert loops[1]["evidence-window"]["source"] == "default"
 
 
 def _reads_input(call: ast.Call) -> bool:
