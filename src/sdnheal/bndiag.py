@@ -518,12 +518,17 @@ class Posterior:
     def marginals(self) -> dict[str, float]:
         return {fid: pair[1] for fid, pair in self.pairs.items()}
 
-    def ranking(self) -> list[tuple[str, float]]:
-        """Highest first, ties by fault id: a stable descending sort of the
-        id-sorted items."""
+    @cached_property
+    def _ranked(self) -> tuple[tuple[str, float], ...]:
         ranked = sorted(self.marginals.items())
         ranked.sort(key=itemgetter(1), reverse=True)
-        return ranked
+        return tuple(ranked)
+
+    def ranking(self) -> list[tuple[str, float]]:
+        """Highest first, ties by fault id: a stable descending sort of the
+        id-sorted items. Sorted once per posterior; each call returns a new
+        list."""
+        return list(self._ranked)
 
 
 def _project(factor: Factor, keep: tuple[str, ...]) -> Factor:
@@ -1009,15 +1014,15 @@ def map_diagnosis(
     """
     if not 0.0 < threshold < 1.0:
         raise BnError(f"threshold must be in (0,1): {threshold}")
-    full = posterior.ranking()
-    confident = [(f, p) for f, p in full if p >= threshold]
+    full = posterior._ranked
+    confident = tuple((f, p) for f, p in full if p >= threshold)
     if confident:
-        return Diagnosis(tuple(confident), Verdict.CONFIDENT, threshold)
+        return Diagnosis(confident, Verdict.CONFIDENT, threshold)
     if full:
         top_fault, top_p = full[0]
         if top_p >= 10.0 * priors[top_fault]:
             return Diagnosis(((top_fault, top_p),), Verdict.SUSPECT, threshold)
-    return Diagnosis(tuple(full), Verdict.INCONCLUSIVE, threshold)
+    return Diagnosis(full, Verdict.INCONCLUSIVE, threshold)
 
 
 # ---------------------------------------------------------------------------

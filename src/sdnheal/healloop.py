@@ -1,9 +1,10 @@
 """The self-healing closed loop: detect, diagnose, recover, verify.
 
 Each tick the loop steps the simulator, translates raw alarms, and
-windows them. A non-empty window becomes an incident: the window turns
-into evidence, exact inference ranks the fault hypotheses, and a
-confident or suspect diagnosis is planned and executed against the
+windows them; a tick that leaves the alarm buffer empty has nothing to
+window and skips windowing. A non-empty window becomes an incident: the
+window turns into evidence, exact inference ranks the fault hypotheses,
+and a confident or suspect diagnosis is planned and executed against the
 simulator, then verified by polling the affected services. Inconclusive
 diagnoses widen the evidence window a bounded number of times before the
 incident is recorded unresolved.
@@ -120,8 +121,13 @@ class _Driver:
 
     def step_once(self) -> None:
         self.state, raws = simkernel.step(self.state)
+        # A suppressed symptom that stops re-occurring has cleared; a later
+        # re-occurrence is a fresh episode.
+        if not raws:
+            self.suppressed.clear()
+            return
         alarms = [alarmpipe.translate_alarm(r) for r in raws]
-        emitted = {(a.emitter, a.symptom) for a in alarms}
+        self.alarm_log.extend(alarms)
         # Only alarms the network has a variable for are windowed: a host's
         # node-unreachable has none unless it was built with include-hosts.
         self.buffer.extend(
@@ -130,10 +136,8 @@ class _Driver:
             if (a.emitter, a.symptom) not in self.suppressed
             and bndiag.symptom_var_id(a.symptom, a.emitter) in self.monitored
         )
-        self.alarm_log.extend(alarms)
-        # A suppressed symptom that stops re-occurring has cleared; a later
-        # re-occurrence is a fresh episode.
-        self.suppressed &= emitted
+        if self.suppressed:
+            self.suppressed &= {(a.emitter, a.symptom) for a in alarms}
 
     def advance(self) -> bool:
         if not self.can_step():
@@ -197,6 +201,8 @@ def run_loop(
     records: list[IncidentRecord] = []
     while driver.can_step():
         driver.step_once()
+        if not driver.buffer:
+            continue
         span_start = driver.tick - config.evidence_window + 1
         driver.prune_buffer(span_start)
         window = alarmpipe.collect_window(driver.buffer, (span_start, driver.tick))

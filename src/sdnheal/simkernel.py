@@ -9,6 +9,13 @@ a component is down iff a physical failure is active on it
 (`SimState.down`). Only `reroute` and `load-balance-ap` replace
 `SimState.topology`, when a service path changes.
 
+Most ticks carry no news: no ticket or fault is due. Such a tick keeps
+the previous state's `active_faults` and `repair_tickets` objects, and a
+state whose faults and topology match its predecessor's (after any step
+or any action that changes neither) starts with that state's cached
+alarms (`symptoms` and their sorted `alarm_keys`) and `down` set, so
+only an event pays for `taxonomy.effects`.
+
 In stochastic mode each alarm is independently dropped with the
 configured loss probability and spurious alarms are drawn
 (Poisson-distributed per tick) uniformly from the topology's symptom
@@ -169,10 +176,37 @@ class SimState:
             for target, fault_class in self.active_faults
         ])
 
+    @cached_property
+    def alarm_keys(self) -> tuple[tuple[Symptom, str], ...]:
+        """`symptoms` sorted: the order a step emits them in."""
+        return tuple(sorted(self.symptoms))
+
     @property
     def rng_state(self) -> tuple:
         """The generator's state (`random.Random.getstate`) at this state."""
         return self.rng.live().getstate()
+
+
+# every value a state caches; each follows from its faults and its topology
+_CACHED = tuple(
+    name for name, value in vars(SimState).items() if isinstance(value, cached_property)
+)
+
+
+def _successor(state: SimState, **changes) -> SimState:
+    """`state` with `changes`, built without the frozen `__init__`.
+
+    While the faults and the topology stay, the new state keeps `state`'s
+    cached values instead of computing them again.
+    """
+    new = object.__new__(SimState)
+    values = vars(new)
+    values.update(vars(state))
+    values.update(changes)
+    if new.topology is not state.topology or new.active_faults != state.active_faults:
+        for name in _CACHED:
+            values.pop(name, None)
+    return new
 
 
 def load_scenario(doc: dict) -> Scenario:
@@ -272,7 +306,8 @@ def _poisson(rng: random.Random, rate: float) -> int:
 def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     """Advance one tick: close due tickets, inject due faults, emit alarms.
 
-    Only the active faults and the tickets change; the topology is kept.
+    Only the active faults and the tickets change, and only on a tick
+    that closes a ticket or injects a fault; the topology is kept.
     """
     scenario = state.scenario
     if state.tick >= scenario.horizon:
@@ -284,35 +319,35 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     if stochastic:
         rng, hold = hold.advance()
 
-    active = set(state.active_faults)
-    due = [ticket for ticket in state.repair_tickets if ticket[1] <= tick]
-    tickets = state.repair_tickets.difference(due) if due else state.repair_tickets
-    for component, _, fault_class in due:
-        if fault_class is None:
-            active = {(c, fc) for (c, fc) in active if c != component}
-        else:
-            active.discard((component, fault_class))
-
+    active, tickets = state.active_faults, state.repair_tickets
+    due = [ticket for ticket in tickets if ticket[1] <= tick]
     index = state.next_fault_index
-    while index < len(scenario.faults) and scenario.faults[index].at_tick <= tick:
-        fault = scenario.faults[index]
-        active.add((fault.target, fault.fault_class))
-        index += 1
+    faults = scenario.faults
+    if due or (index < len(faults) and faults[index].at_tick <= tick):
+        active = set(active)
+        if due:
+            tickets = tickets.difference(due)
+        for component, _, fault_class in due:
+            if fault_class is None:
+                active = {(c, fc) for (c, fc) in active if c != component}
+            else:
+                active.discard((component, fault_class))
+        while index < len(faults) and faults[index].at_tick <= tick:
+            fault = faults[index]
+            active.add((fault.target, fault.fault_class))
+            index += 1
+        active = frozenset(active)
 
-    new_state = SimState(
-        scenario=scenario,
+    new_state = _successor(
+        state,
         tick=tick,
-        topology=state.topology,
-        active_faults=frozenset(active),
+        active_faults=active,
         repair_tickets=tickets,
         rng=hold,
         next_fault_index=index,
     )
-    if new_state.active_faults == state.active_faults:
-        # same faults on the same topology: seed the cache with the alarms
-        vars(new_state)["symptoms"] = state.symptoms
-    emitted = sorted(new_state.symptoms)
-    if stochastic:  # one loss draw per symptom, whatever the probability
+    emitted = new_state.alarm_keys
+    if stochastic and emitted:  # one loss draw per symptom, whatever the probability
         draw, loss = rng.random, noise.alarm_loss_probability
         emitted = [key for key in emitted if not draw() < loss]
     alarms = [_raw_alarm(symptom, emitter, tick) for symptom, emitter in emitted]
@@ -394,7 +429,7 @@ def apply_action(
                 f"{action.kind.value} target is not {expected}: {action.target}"
             )
         ticket = (action.target, state.tick + 1, fault_class)
-        return replace(state, repair_tickets=state.repair_tickets | {ticket}), _success(
+        return _successor(state, repair_tickets=state.repair_tickets | {ticket}), _success(
             action, detail
         )
 
@@ -407,7 +442,7 @@ def apply_action(
         if path is None:
             return state, _failure(action, "no alternative path")
         topology = netmodel.replace_service_path(topology, action.target, tuple(path))
-        return replace(state, topology=topology), _success(
+        return _successor(state, topology=topology), _success(
             action, "rerouted via " + "-".join(path)
         )
 
@@ -417,7 +452,7 @@ def apply_action(
     if action.kind is ActionKind.OPEN_REPAIR_TICKET:
         delay = int(action.params.get("repair-delay", state.scenario.repair_delay))
         ticket = (action.target, state.tick + delay, None)
-        return replace(state, repair_tickets=state.repair_tickets | {ticket}), _success(
+        return _successor(state, repair_tickets=state.repair_tickets | {ticket}), _success(
             action, f"repair scheduled at tick {ticket[1]}"
         )
 
@@ -476,6 +511,6 @@ def _load_balance_ap(
                     action, f"no path for service {service.id} after rebalance"
                 )
             topology = netmodel.replace_service_path(topology, service.id, tuple(path))
-    return replace(state, topology=topology), _success(
+    return _successor(state, topology=topology), _success(
         action, f"clients moved to {destination}"
     )

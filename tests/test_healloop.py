@@ -1,10 +1,11 @@
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
 
-from sdnheal import alarmpipe, bndiag, healloop, recover, simkernel
+from sdnheal import alarmpipe, bndiag, healloop, recover, simkernel, taxonomy
 from sdnheal.alarmpipe import EvidencePolicy
 from sdnheal.bndiag import BnParams, Diagnosis, Posterior, Verdict
 from sdnheal.healloop import (
@@ -16,9 +17,11 @@ from sdnheal.healloop import (
     emit_report,
     run_loop,
 )
-from sdnheal.recover import ActionKind
+from sdnheal.recover import ActionKind, OutcomeStatus
 from sdnheal.simkernel import FaultEvent, NoiseConfig, NoiseMode, Scenario
 from sdnheal.taxonomy import FaultClass
+
+from topogen import random_topology
 
 
 def scenario_for(t1, faults=(), **kwargs) -> Scenario:
@@ -225,6 +228,64 @@ def test_noisy_loop_report_pinned(t1, policy):
     assert hashlib.sha1(text.encode()).hexdigest() == NOISY_REPORT_SHA1[policy]
 
 
+def overlapping_topogen_scenario(seed: int) -> Scenario:
+    """Eight faults of any class on a small random topology, in overlapping
+    bursts, under alarm loss and spurious alarms."""
+    topology = random_topology(seed, n_nodes=12, n_services=3, max_path_links=3)
+    components = (*topology.nodes, *topology.links, *topology.services)
+    compatible = [
+        (c.id, fault_class)
+        for fault_class in FaultClass
+        for c in components
+        if taxonomy.is_compatible(topology, c.id, fault_class)
+    ]
+    rng = random.Random(f"pinned-loop|{seed}")
+    ticks = (3, 4, 20, 21, 22, 45, 60, 61)
+    faults = tuple(
+        FaultEvent(target, fault_class, tick)
+        for (target, fault_class), tick in zip(rng.sample(compatible, len(ticks)), ticks)
+    )
+    return Scenario(
+        topology=topology,
+        faults=faults,
+        noise=NoiseConfig(
+            mode=NoiseMode.STOCHASTIC,
+            alarm_loss_probability=0.15,
+            spurious_alarm_rate=0.1,
+        ),
+        seed=rng.randrange(2**31),
+        horizon=80,
+        repair_delay=2,
+    )
+
+
+# Recorded before quiet ticks reused their state; the reports must not move.
+TOPOGEN_REPORTS_SHA1 = {
+    EvidencePolicy.CLOSED_WORLD: "db63e865d4d8a0195ab749ec41fc5480128e324d",
+    EvidencePolicy.OPEN_WORLD: "3dbf0659cd4238ea685a675616f4714f308d6d9e",
+}
+
+
+@pytest.mark.parametrize("policy", list(EvidencePolicy))
+def test_topogen_loop_reports_pinned(policy):
+    digest = hashlib.sha1()
+    reroutes = widenings = 0
+    for seed in (0, 1, 2, 4):
+        report = run_loop(
+            overlapping_topogen_scenario(seed), config=LoopConfig(evidence_policy=policy)
+        )
+        for fmt in ("json", "table"):
+            digest.update(emit_report(report, fmt).encode())
+        reroutes += sum(
+            o.action.kind is ActionKind.REROUTE and o.status is OutcomeStatus.SUCCESS
+            for record in report.records
+            for o in record.outcomes
+        )
+        widenings += sum(r.diagnosed_at > r.detected_at for r in report.records)
+    assert reroutes and widenings  # the runs change paths and widen windows
+    assert digest.hexdigest() == TOPOGEN_REPORTS_SHA1[policy]
+
+
 @pytest.mark.parametrize("policy", list(EvidencePolicy))
 def test_loop_infers_each_window_once(t1, policy, monkeypatch):
     windows, inferred = [], []
@@ -344,6 +405,23 @@ def fabricate_report(records) -> healloop.RunReport:
         config=LoopConfig(),
         table=recover.default_strategy_table(),
     )
+
+
+def test_posterior_ranking_is_a_new_list_every_call():
+    record = fabricate_record("x", "x")
+    posterior = record.posterior
+    expected = [("fault:physical:x", 0.9), ("fault:physical:other", 0.05)]
+    first = posterior.ranking()
+    assert first == expected
+    first[:] = [("fault:physical:bogus", 1.0)]
+    second = posterior.ranking()
+    assert second == expected and second is not first
+    second.clear()
+    assert posterior.ranking() == expected
+    assert healloop.map_hit(record) and healloop.top3_hit(record)
+    diagnosis = bndiag.map_diagnosis(posterior, 0.5, {})
+    assert diagnosis.ranked == (("fault:physical:x", 0.9),)
+    assert diagnosis.verdict is Verdict.CONFIDENT
 
 
 def test_batch_metrics_pools_accuracy():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnheal import alarmpipe, netmodel, simkernel, taxonomy
+from sdnheal.alarmpipe import EVENT_OF_SYMPTOM, RawAlarm
 from sdnheal.netmodel import ServiceState
 from sdnheal.recover import ActionKind, OutcomeStatus, RecoveryAction
 from sdnheal.simkernel import (
@@ -15,6 +17,7 @@ from sdnheal.simkernel import (
     NoiseMode,
     Scenario,
     SimError,
+    SimState,
 )
 from sdnheal.taxonomy import FaultClass, Symptom
 
@@ -682,6 +685,180 @@ def test_scenario_vocabulary_holds_after_reroute_and_rehoming(t1):
     assert outcome.status is OutcomeStatus.SUCCESS
     assert state.topology != state.scenario.topology
     assert vocabulary_matches(state)
+
+
+def test_actions_that_keep_faults_and_topology_keep_the_alarms(t1, monkeypatch):
+    state, _ = faulted(
+        t1,
+        ("l1", FaultClass.PHYSICAL_FAILURE),
+        ("s1", FaultClass.OPENFLOW_AGENT_CRASH),
+        ("c0", FaultClass.CONTROLLER_CRASH),
+        repair_delay=5,
+    )
+    calls = []
+    real_effects = taxonomy.effects
+
+    def effects(*args):
+        calls.append(args)
+        return real_effects(*args)
+
+    monkeypatch.setattr(taxonomy, "effects", effects)
+    alarms = state.alarm_keys
+    for kind, target in [
+        (ActionKind.RESTART_OPENFLOW_AGENT, "s1"),
+        (ActionKind.CONTROLLER_FAILOVER, "c0"),
+        (ActionKind.OPEN_REPAIR_TICKET, "l1"),
+    ]:
+        state, _ = simkernel.apply_action(state, RecoveryAction(kind=kind, target=target))
+        assert state.alarm_keys is alarms
+    assert calls == []
+    state, outcome = simkernel.apply_action(
+        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
+    )
+    assert outcome.status is OutcomeStatus.SUCCESS
+    assert state.alarm_keys != alarms  # service-down(v1) moves off l1's path
+    assert len(calls) == 3
+
+
+def reference_step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
+    """One tick as `simkernel.step` took it before quiet ticks reused their
+    state: the faults and tickets copied on every tick, the alarms computed
+    afresh from the faults."""
+    scenario, noise = state.scenario, state.scenario.noise
+    tick = state.tick + 1
+    stochastic = noise.mode is NoiseMode.STOCHASTIC
+    hold = state.rng
+    if stochastic:
+        rng, hold = hold.advance()
+    active = set(state.active_faults)
+    due = [ticket for ticket in state.repair_tickets if ticket[1] <= tick]
+    tickets = state.repair_tickets.difference(due)
+    for component, _, fault_class in due:
+        if fault_class is None:
+            active = {(c, fc) for (c, fc) in active if c != component}
+        else:
+            active.discard((component, fault_class))
+    index = state.next_fault_index
+    while index < len(scenario.faults) and scenario.faults[index].at_tick <= tick:
+        active.add((scenario.faults[index].target, scenario.faults[index].fault_class))
+        index += 1
+    new_state = SimState(
+        scenario=scenario,
+        tick=tick,
+        topology=state.topology,
+        active_faults=frozenset(active),
+        repair_tickets=tickets,
+        rng=hold,
+        next_fault_index=index,
+    )
+    emitted = sorted(new_state.symptoms)
+    if stochastic:
+        emitted = [key for key in emitted if not rng.random() < noise.alarm_loss_probability]
+    keys = list(emitted)
+    if stochastic and noise.spurious_alarm_rate > 0.0:
+        count, threshold = 0, math.exp(-noise.spurious_alarm_rate)
+        product = rng.random()
+        while product > threshold:  # a Poisson draw, then the alarms
+            count += 1
+            product *= rng.random()
+        for _ in range(count):
+            keys.append(scenario.vocabulary[rng.randrange(len(scenario.vocabulary))])
+    alarms = []
+    for symptom, emitter in keys:
+        dialect, event = EVENT_OF_SYMPTOM[symptom]
+        alarms.append(RawAlarm(dialect, emitter, event, tick))
+    return new_state, alarms
+
+
+_RESTART_OF = {
+    FaultClass.SERVICE_FAULT: ActionKind.RESTART_SERVICE,
+    FaultClass.OPENFLOW_AGENT_CRASH: ActionKind.RESTART_OPENFLOW_AGENT,
+    FaultClass.CONTROLLER_CRASH: ActionKind.CONTROLLER_FAILOVER,
+}
+
+
+def _candidate_actions(state: SimState) -> list[RecoveryAction]:
+    """Restarts and repair tickets for the active faults, and reroutes."""
+    actions = []
+    for target, fault_class in sorted(state.active_faults, key=str):
+        if fault_class in _RESTART_OF:
+            actions.append(RecoveryAction(kind=_RESTART_OF[fault_class], target=target))
+        actions.append(RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target=target))
+    for service in state.topology.services:
+        for hop in (None, *service.path[2:-2]):
+            params = {"avoid": (hop,)} if hop else {}
+            actions.append(
+                RecoveryAction(kind=ActionKind.REROUTE, target=service.id, params=params)
+            )
+    return actions
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([(0.0, 0.0), (0.0, 0.5), (0.3, 0.0), (0.2, 1.0), None]),
+    st.data(),
+)
+def test_step_equals_the_reference_step_with_actions_between(seed, noise, data):
+    topology = random_topology(seed, n_nodes=12, n_services=3, max_path_links=3)
+    horizon = 30
+    faults = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_compatible_faults(topology)),
+                st.integers(min_value=0, max_value=horizon - 1),
+            ),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda fault: fault[0],
+        )
+    )
+    if noise is None:
+        noise_config = NoiseConfig()
+    else:
+        noise_config = NoiseConfig(
+            mode=NoiseMode.STOCHASTIC,
+            alarm_loss_probability=noise[0],
+            spurious_alarm_rate=noise[1],
+        )
+    scenario = Scenario(
+        topology=topology,
+        faults=tuple(FaultEvent(target, fc, tick) for (target, fc), tick in faults),
+        noise=noise_config,
+        seed=seed,
+        horizon=horizon,
+        repair_delay=data.draw(st.integers(min_value=1, max_value=4)),
+    )
+    state, reference = simkernel.init_sim(scenario), simkernel.init_sim(scenario)
+    while state.tick < horizon:
+        previous = state
+        state, raws = simkernel.step(previous)
+        reference, expected = reference_step(reference)
+        assert raws == expected
+        assert state.active_faults == reference.active_faults
+        assert state.repair_tickets == reference.repair_tickets
+        assert state.rng_state == reference.rng_state
+        assert state.symptoms == reference.symptoms
+        assert state.alarm_keys == tuple(sorted(reference.symptoms))
+        assert state.down == reference.down
+        assert state == reference
+        quiet = (
+            reference.active_faults == previous.active_faults
+            and reference.repair_tickets == previous.repair_tickets
+        )
+        if quiet:
+            assert state.active_faults is previous.active_faults
+            assert state.repair_tickets is previous.repair_tickets
+            if noise is not None:
+                with pytest.raises(SimError, match="stale state"):
+                    simkernel.step(previous)
+        actions = _candidate_actions(state)
+        pick = data.draw(st.integers(min_value=0, max_value=len(actions)))
+        if pick < len(actions):
+            state, outcome = simkernel.apply_action(state, actions[pick])
+            reference, expected_outcome = simkernel.apply_action(reference, actions[pick])
+            assert outcome == expected_outcome
+            reference = replace(reference)  # a fresh state caches nothing
 
 
 # ---------------------------------------------------------------------------
