@@ -8,8 +8,9 @@ Every document goes through one loader that reads the file, decodes the
 JSON and hands it to the document's parser. Any defect in the input,
 from an unreadable file to a wrongly shaped document, is reported as
 `error: ...` with exit status 1; a failure while the verb runs is a
-`runtime error: ...` with exit status 2. `main` is the only place that
-maps exceptions to exit statuses.
+`runtime error: ...` with exit status 2. A flag value argparse cannot
+parse also exits 2, with argparse's usage message. `main` is the only
+place that maps exceptions to exit statuses.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _cmd_build_bn(args: argparse.Namespace) -> None:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> None:
+    if not 0.0 < args.threshold < 1.0:
+        raise _InputError(f"threshold must be in (0,1): {args.threshold}")
     bn = _load(args.network, "network document", bndiag.bn_from_dict)
     evidence = _load(args.evidence, "evidence document", _evidence_map)
     posterior = bndiag.posterior_marginals(bn, evidence)

@@ -28,7 +28,6 @@ class ActionKind(str, Enum):
     RESTART_SERVICE = "restart-service"
     RESTART_OPENFLOW_AGENT = "restart-openflow-agent"
     CONTROLLER_FAILOVER = "controller-failover"
-    LOAD_BALANCE_AP = "load-balance-ap"
     OPEN_REPAIR_TICKET = "open-repair-ticket"
 
 
@@ -60,7 +59,6 @@ class ActionOutcome:
 class ActionTemplate:
     kind: ActionKind
     scope: str = "target"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.scope not in ("target", "dependent-services"):
@@ -107,7 +105,10 @@ def default_strategy_table() -> StrategyTable:
 
 
 def strategy_table_from_dict(doc: dict | None) -> StrategyTable:
-    """Merge a strategy override document over the default table."""
+    """Merge a strategy override document over the default table.
+
+    A template takes only `kind` and `scope`; any other key is a `PlanError`.
+    """
     table = default_strategy_table()
     if not doc:
         return table
@@ -116,27 +117,21 @@ def strategy_table_from_dict(doc: dict | None) -> StrategyTable:
         fc = FaultClass(class_name)
         parsed = []
         for tpl in templates:
-            extra = {
-                k: v for k, v in tpl.items() if k not in ("kind", "scope")
-            }
+            unknown = sorted(tpl.keys() - {"kind", "scope"})
+            if unknown:
+                raise PlanError(
+                    f"unknown action template key for {class_name}: "
+                    f"{', '.join(unknown)} (a template takes only kind and scope)"
+                )
             parsed.append(
                 ActionTemplate(
-                    kind=ActionKind(tpl["kind"]),
-                    scope=tpl.get("scope", "target"),
-                    params=extra,
+                    kind=ActionKind(tpl["kind"]), scope=tpl.get("scope", "target")
                 )
             )
         if not parsed:
             raise PlanError(f"empty strategy entry for {class_name}")
         entries[fc] = tuple(parsed)
     return StrategyTable(entries=entries)
-
-
-def _instantiate(tpl: ActionTemplate, target: str, fallback: RecoveryAction | None
-                 ) -> RecoveryAction:
-    return RecoveryAction(
-        kind=tpl.kind, target=target, params=dict(tpl.params), fallback=fallback
-    )
 
 
 def select_strategy(
@@ -159,7 +154,7 @@ def select_strategy(
 
     fallback: RecoveryAction | None = None
     for tpl in reversed(templates[1:]):
-        fallback = _instantiate(tpl, target, fallback)
+        fallback = RecoveryAction(kind=tpl.kind, target=target, fallback=fallback)
 
     primary = templates[0]
     if primary.scope == "dependent-services":
@@ -167,7 +162,7 @@ def select_strategy(
             RecoveryAction(
                 kind=primary.kind,
                 target=service_id,
-                params={"avoid": (target,), **primary.params},
+                params={"avoid": (target,)},
                 fallback=fallback,
             )
             for service_id in topology.services_through(target)
@@ -177,7 +172,7 @@ def select_strategy(
                 raise PlanError(f"no dependent services and no fallback for {target}")
             actions = [fallback]
         return actions
-    return [_instantiate(primary, target, fallback)]
+    return [RecoveryAction(kind=primary.kind, target=target, fallback=fallback)]
 
 
 Actuator = Callable[[RecoveryAction], ActionOutcome]

@@ -6,8 +6,8 @@ direct effects as alarms (`SimState.symptoms`, from the propagation table
 `taxonomy.effects`), and service status probes read the same set. A state
 holds the network's structure, the active faults and the pending tickets;
 a component is down iff a physical failure is active on it
-(`SimState.down`). Only `reroute` and `load-balance-ap` replace
-`SimState.topology`, when a service path changes.
+(`SimState.down`). Only `reroute` replaces `SimState.topology`, when a
+service path changes.
 
 Most ticks carry no news: no ticket or fault is due. Such a tick keeps
 the previous state's `active_faults` and `repair_tickets` objects, and a
@@ -41,17 +41,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 from . import netmodel, taxonomy
 from .alarmpipe import EVENT_OF_SYMPTOM, RawAlarm
-from .netmodel import (
-    NodeKind,
-    ServiceState,
-    Topology,
-)
+from .netmodel import ServiceState, Topology
 from .recover import ActionKind, ActionOutcome, OutcomeStatus, RecoveryAction
 from .taxonomy import FaultClass, Symptom
 
@@ -112,8 +108,8 @@ class Scenario:
     def vocabulary(self) -> tuple[tuple[Symptom, str], ...]:
         """What spurious alarms are drawn from, for every state of the run.
 
-        It depends only on component ids and node kinds, which no reroute
-        or access-point re-homing alters.
+        It depends only on component ids and node kinds, which a reroute
+        does not alter.
         """
         return tuple(taxonomy.symptom_vocabulary(self.topology))
 
@@ -414,8 +410,10 @@ def apply_action(
 
     Restart/failover actions clear their fault at the next tick (modeled
     as a one-tick repair ticket). Reroute swaps the service path now and
-    reports failure when no alternative exists. Malformed actions (wrong
-    target category, unknown ids) raise instead of returning failure.
+    reports failure when no alternative exists. A repair ticket clears
+    every fault on its target after the scenario's repair delay. Malformed
+    actions (wrong target category, unknown ids) raise instead of
+    returning failure.
     """
     topology = state.topology
     category = netmodel.component_category(topology, action.target)
@@ -446,71 +444,11 @@ def apply_action(
             action, "rerouted via " + "-".join(path)
         )
 
-    if action.kind is ActionKind.LOAD_BALANCE_AP:
-        return _load_balance_ap(state, action)
-
     if action.kind is ActionKind.OPEN_REPAIR_TICKET:
-        delay = int(action.params.get("repair-delay", state.scenario.repair_delay))
-        ticket = (action.target, state.tick + delay, None)
+        ticket = (action.target, state.tick + state.scenario.repair_delay, None)
         return _successor(state, repair_tickets=state.repair_tickets | {ticket}), _success(
             action, f"repair scheduled at tick {ticket[1]}"
         )
 
     raise SimError(f"unknown action kind: {action.kind}")
 
-
-def _load_balance_ap(
-    state: SimState, action: RecoveryAction
-) -> tuple[SimState, ActionOutcome]:
-    """Re-home the named client hosts from one access point to another.
-
-    Each client's access link is re-pointed at the destination AP and any
-    service path running through the old attachment is recomputed.
-    """
-    topology = state.topology
-    destination = action.params.get("destination")
-    clients = list(action.params.get("clients", ()))
-    for ap in (action.target, destination):
-        if (
-            ap is None
-            or netmodel.component_category(topology, ap) != "node"
-            or topology.node(ap).kind is not NodeKind.ACCESS_POINT
-        ):
-            raise SimError(f"load-balance-ap endpoint is not an access point: {ap}")
-    if not clients:
-        return state, _failure(action, "no clients named")
-
-    moved_links = []
-    links = {l.id: l for l in topology.links}
-    for client in sorted(clients):
-        attachment = next(
-            (
-                l
-                for l in links.values()
-                if set(l.endpoints) == {client, action.target} and not l.management
-            ),
-            None,
-        )
-        if attachment is None:
-            return state, _failure(action, f"client {client} not attached to {action.target}")
-        links[attachment.id] = replace(
-            attachment, endpoints=(client, destination)
-        )
-        moved_links.append(attachment.id)
-
-    topology = replace(topology, links=tuple(links.values()))
-    for service in topology.services:
-        if action.target in service.path and any(
-            l in service.path for l in moved_links
-        ):
-            path = netmodel.find_path(
-                topology, service.path[0], service.path[-1], state.down
-            )
-            if path is None:
-                return state, _failure(
-                    action, f"no path for service {service.id} after rebalance"
-                )
-            topology = netmodel.replace_service_path(topology, service.id, tuple(path))
-    return _successor(state, topology=topology), _success(
-        action, f"clients moved to {destination}"
-    )

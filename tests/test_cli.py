@@ -302,9 +302,9 @@ def _two_fault_doc(cpt=None, variables=None, extra_cpt=False):
     return doc
 
 
-def _diagnose_case(network_doc):
+def _diagnose_case(network_doc, *flags):
     documents = {"bn.json": network_doc, "e.json": {"symptom:service-down:Y": True}}
-    return documents, ["diagnose", "bn.json", "--evidence", "e.json"]
+    return documents, ["diagnose", "bn.json", "--evidence", "e.json", *flags]
 
 
 SCENARIO = "t1-linkfail.scenario.json"
@@ -376,6 +376,31 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         _diagnose_case(_two_fault_doc(extra_cpt=True)),
         # the parent cap guarded table-based inference, which is gone
         ({"p.json": {"max-parents": 10}}, ["run", SCENARIO, "--params", "p.json"]),
+        # a template names only its kind and scope: the target, the reroute's
+        # avoid list and the ticket's delay come from the diagnosis and the
+        # scenario
+        (
+            {"s.json": {"physical-failure": [{"kind": "load-balance-ap"}]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        (
+            {"s.json": {"interface-traffic-drop": [
+                {"kind": "reroute", "scope": "dependent-services", "avoid": ["l2"]},
+                {"kind": "open-repair-ticket"},
+            ]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        (
+            {"s.json": {"physical-failure": [
+                {"kind": "reroute", "scope": "dependent-services"},
+                {"kind": "open-repair-ticket", "repair-delay": 0},
+            ]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        # an option value out of range is an input error on every verb
+        _diagnose_case(_two_fault_doc(), "--threshold", "1.5"),
+        _diagnose_case(_two_fault_doc(), "--threshold", "0"),
+        ({}, ["run", SCENARIO, "--threshold", "1.5"]),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
