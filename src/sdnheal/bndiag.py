@@ -932,7 +932,12 @@ def quickscore_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     2^|F+| terms, so it refuses more than 16 positive findings. The sum
     loses digits to cancellation when the evidence is improbable (1e-7 on
     a 10-node network whose positive findings only near-ruled-out faults
-    explain), so a disagreement with it needs a third opinion. Unlike
+    explain), so a disagreement with it needs a third opinion. For the
+    same reason it is no reference for overlapping faults under
+    closed-world or partial evidence: their silent indirect effects make
+    such evidence improbable, and the alternating sum then cancels, to
+    errors near 1 or a non-positive total. The tests that use it as their
+    only oracle inject single faults. Unlike
     `enumerate_joint` it scales with the network, not with 2^variables.
     Shares no code with the variable-elimination path.
     """

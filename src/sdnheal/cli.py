@@ -105,15 +105,11 @@ def _loop_settings(
     return params, table, config
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _write(rendered: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(rendered)
     else:
-        Path(out).write_text(rendered)
+        Path(out).write_bytes(rendered.encode())
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:
@@ -127,7 +123,7 @@ def _cmd_validate(args: argparse.Namespace) -> None:
 def _cmd_build_bn(args: argparse.Namespace) -> None:
     topology = _load(args.topology, "topology document", netmodel.load_topology)
     bn = bndiag.build_bn(topology, _load_params(args.params))
-    _write(_dump(bndiag.bn_to_dict(bn)), args.out)
+    _write(healloop.render_json(bndiag.bn_to_dict(bn)), args.out)
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> None:
@@ -143,7 +139,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
         "ranked": [[fid, p] for fid, p in diagnosis.ranked],
         "posterior": dict(sorted(posterior.marginals.items())),
     }
-    sys.stdout.write(_dump(doc))
+    sys.stdout.write(healloop.render_json(doc))
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
@@ -163,7 +159,7 @@ def _cmd_batch(args: argparse.Namespace) -> None:
         healloop.run_loop(scenario, params, table, config, name)
         for name, scenario in scenarios
     ]
-    _write(_dump(healloop.batch_to_dict(reports)), args.out)
+    _write(healloop.render_json(healloop.batch_to_dict(reports)), args.out)
 
 
 def _add_loop_flags(parser: argparse.ArgumentParser) -> None:

@@ -24,9 +24,10 @@ was built for (`_Diagnoser`); a rebuilt network starts an empty one.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 from . import alarmpipe, bndiag, netmodel, recover, simkernel
 from .alarmpipe import Alarm, EvidencePolicy
@@ -406,6 +407,96 @@ def batch_metrics(reports: list[RunReport]) -> dict:
 # Report documents
 
 
+def render_json(doc) -> str:
+    """Exactly `json.dumps(doc, indent=2, sort_keys=True) + "\n"`, faster.
+
+    The stdlib's C encoder cannot indent, so `json.dumps` with `indent`
+    runs its pure-Python generators; this writer gives the same text in
+    less time. Dict keys are sorted and must be `str`; lists
+    and tuples are arrays; strings go through the stdlib's own escaper;
+    floats use `float.__repr__` and spell `NaN` and `Infinity` as `json`
+    does; subclasses of `str`, `int` and `float` render as their base
+    value. Any other type raises `TypeError`, as `json` does.
+    """
+    parts: list[str] = []
+    _render(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _render_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+# exact type -> text of a scalar; subclasses take the isinstance path
+_LEAF = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _render_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _render(value, newline: str, parts: list[str]) -> None:
+    """Append `value` to `parts`, its inner lines indented past `newline`.
+
+    A plain function, not a closure over `parts`: a closure that calls
+    itself is a reference cycle, which keeps what it holds alive until
+    the cyclic collector runs.
+    """
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        parts.append(leaf(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            leaf = _LEAF.get(type(item))
+            if leaf is not None:
+                parts.append(sep + leaf(item))
+            else:
+                parts.append(sep)
+                _render(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = sep + encode_basestring_ascii(key) + ": "
+            leaf = _LEAF.get(type(item))
+            if leaf is not None:
+                parts.append(head + leaf(item))
+            else:
+                parts.append(head)
+                _render(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    # no type is both a container and a scalar, so testing them after the
+    # containers keeps json's order: str, int, then float
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_render_float(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _action_to_dict(action: RecoveryAction) -> dict:
     params = {}
     for key, value in sorted(action.params.items()):
@@ -519,7 +610,7 @@ def batch_to_dict(reports: list[RunReport]) -> dict:
 def emit_report(report: RunReport, fmt: str = "json") -> str:
     """Render a report: byte-stable JSON, or a human-readable table."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return render_json(report_to_dict(report))
     if fmt != "table":
         raise LoopError(f"unknown report format: {fmt}")
 

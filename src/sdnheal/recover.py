@@ -55,6 +55,16 @@ class ActionOutcome:
             raise ValueError("failure outcome requires a detail message")
 
 
+# The fault class whose targets each action kind acts on. A repair ticket
+# acts on any component, so it has no entry.
+TARGET_CLASS = {
+    ActionKind.REROUTE: FaultClass.SERVICE_FAULT,
+    ActionKind.RESTART_SERVICE: FaultClass.SERVICE_FAULT,
+    ActionKind.RESTART_OPENFLOW_AGENT: FaultClass.OPENFLOW_AGENT_CRASH,
+    ActionKind.CONTROLLER_FAILOVER: FaultClass.CONTROLLER_CRASH,
+}
+
+
 @dataclass(frozen=True)
 class ActionTemplate:
     kind: ActionKind
@@ -76,6 +86,31 @@ class StrategyTable:
         missing = [fc.value for fc in FaultClass if fc not in self.entries]
         if missing:
             raise PlanError("strategy table not total, missing: " + ", ".join(missing))
+
+
+def _check_entry(fc: FaultClass, templates: tuple[ActionTemplate, ...]) -> None:
+    """Reject an entry whose plan `select_strategy` could not run.
+
+    A `target` template acts on the diagnosed component, a
+    `dependent-services` one on services. Fallbacks are instantiated on
+    the diagnosed component, so they must have scope `target`.
+    """
+    if not templates:
+        raise PlanError(f"empty strategy entry for {fc.value}")
+    for i, tpl in enumerate(templates):
+        if i and tpl.scope != "target":
+            raise PlanError(
+                f"strategy entry {fc.value}: fallback {tpl.kind.value} "
+                f"has scope {tpl.scope}, not target"
+            )
+        if tpl.scope == "dependent-services":
+            acted_on, what = FaultClass.SERVICE_FAULT, "dependent services"
+        else:
+            acted_on, what = fc, "the diagnosed component"
+        if TARGET_CLASS.get(tpl.kind, acted_on) is not acted_on:
+            raise PlanError(
+                f"strategy entry {fc.value}: {tpl.kind.value} cannot act on {what}"
+            )
 
 
 def default_strategy_table() -> StrategyTable:
@@ -107,7 +142,8 @@ def default_strategy_table() -> StrategyTable:
 def strategy_table_from_dict(doc: dict | None) -> StrategyTable:
     """Merge a strategy override document over the default table.
 
-    A template takes only `kind` and `scope`; any other key is a `PlanError`.
+    A template takes only `kind` and `scope`; any other key is a `PlanError`,
+    and so is an entry whose plan could not run (see `_check_entry`).
     """
     table = default_strategy_table()
     if not doc:
@@ -128,9 +164,8 @@ def strategy_table_from_dict(doc: dict | None) -> StrategyTable:
                     kind=ActionKind(tpl["kind"]), scope=tpl.get("scope", "target")
                 )
             )
-        if not parsed:
-            raise PlanError(f"empty strategy entry for {class_name}")
         entries[fc] = tuple(parsed)
+        _check_entry(fc, entries[fc])
     return StrategyTable(entries=entries)
 
 

@@ -48,7 +48,9 @@ from functools import cached_property
 from . import netmodel, taxonomy
 from .alarmpipe import EVENT_OF_SYMPTOM, RawAlarm
 from .netmodel import ServiceState, Topology
-from .recover import ActionKind, ActionOutcome, OutcomeStatus, RecoveryAction
+from .recover import (
+    TARGET_CLASS, ActionKind, ActionOutcome, OutcomeStatus, RecoveryAction,
+)
 from .taxonomy import FaultClass, Symptom
 
 DEFAULT_REPAIR_DELAY = 5
@@ -392,14 +394,19 @@ def _failure(action: RecoveryAction, detail: str) -> ActionOutcome:
     return ActionOutcome(action=action, status=OutcomeStatus.FAILURE, detail=detail)
 
 
-# restart kind -> (fault class it clears, what its target must be, detail)
+# what the targets of `TARGET_CLASS`'s fault classes are, for error messages
+_TARGET_NAMES = {
+    FaultClass.SERVICE_FAULT: "a service",
+    FaultClass.OPENFLOW_AGENT_CRASH: "an OpenFlow switch",
+    FaultClass.CONTROLLER_CRASH: "the controller",
+}
+
+# restart kind -> detail; it clears its target's fault of the class
+# `TARGET_CLASS` gives
 _RESTARTS = {
-    ActionKind.RESTART_SERVICE:
-        (FaultClass.SERVICE_FAULT, "a service", "service restart scheduled"),
-    ActionKind.RESTART_OPENFLOW_AGENT:
-        (FaultClass.OPENFLOW_AGENT_CRASH, "an OpenFlow switch", "agent restart scheduled"),
-    ActionKind.CONTROLLER_FAILOVER:
-        (FaultClass.CONTROLLER_CRASH, "the controller", "standby controller promoted"),
+    ActionKind.RESTART_SERVICE: "service restart scheduled",
+    ActionKind.RESTART_OPENFLOW_AGENT: "agent restart scheduled",
+    ActionKind.CONTROLLER_FAILOVER: "standby controller promoted",
 }
 
 
@@ -416,24 +423,24 @@ def apply_action(
     returning failure.
     """
     topology = state.topology
-    category = netmodel.component_category(topology, action.target)
-    if category is None:
+    if netmodel.component_category(topology, action.target) is None:
         raise SimError(f"unknown action target: {action.target}")
+    fault_class = TARGET_CLASS.get(action.kind)
+    if fault_class is not None and not taxonomy.is_compatible(
+        topology, action.target, fault_class
+    ):
+        raise SimError(
+            f"{action.kind.value} target is not {_TARGET_NAMES[fault_class]}: "
+            f"{action.target}"
+        )
 
     if action.kind in _RESTARTS:
-        fault_class, expected, detail = _RESTARTS[action.kind]
-        if not taxonomy.is_compatible(topology, action.target, fault_class):
-            raise SimError(
-                f"{action.kind.value} target is not {expected}: {action.target}"
-            )
         ticket = (action.target, state.tick + 1, fault_class)
         return _successor(state, repair_tickets=state.repair_tickets | {ticket}), _success(
-            action, detail
+            action, _RESTARTS[action.kind]
         )
 
     if action.kind is ActionKind.REROUTE:
-        if category != "service":
-            raise SimError(f"reroute target is not a service: {action.target}")
         service = topology.service(action.target)
         avoid = frozenset(action.params.get("avoid", ())) | state.down
         path = netmodel.find_path(topology, service.path[0], service.path[-1], avoid)

@@ -397,6 +397,23 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
             ]}},
             ["run", SCENARIO, "--strategy", "s.json"],
         ),
+        # an entry whose plan cannot run: a kind that cannot act on what its
+        # scope yields, or a fallback that is not on the diagnosed component
+        (
+            {"s.json": {"physical-failure": [{"kind": "reroute"}]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        (
+            {"s.json": {"physical-failure": [{"kind": "restart-service"}]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
+        (
+            {"s.json": {"physical-failure": [
+                {"kind": "reroute", "scope": "dependent-services"},
+                {"kind": "open-repair-ticket", "scope": "dependent-services"},
+            ]}},
+            ["run", SCENARIO, "--strategy", "s.json"],
+        ),
         # an option value out of range is an input error on every verb
         _diagnose_case(_two_fault_doc(), "--threshold", "1.5"),
         _diagnose_case(_two_fault_doc(), "--threshold", "0"),

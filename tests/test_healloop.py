@@ -1,9 +1,14 @@
+import enum
+import gc
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnheal import alarmpipe, bndiag, healloop, recover, simkernel, taxonomy
 from sdnheal.alarmpipe import EvidencePolicy
@@ -15,6 +20,7 @@ from sdnheal.healloop import (
     batch_metrics,
     compute_metrics,
     emit_report,
+    render_json,
     run_loop,
 )
 from sdnheal.recover import ActionKind, OutcomeStatus
@@ -491,6 +497,65 @@ def test_emit_report_equal_runs_byte_identical(t1):
         t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2)]
     )
     assert emit_report(run_loop(scenario)) == emit_report(run_loop(scenario))
+
+
+class _Word(str, enum.Enum):
+    PLAIN = "physical-failure"
+    AWKWARD = 'a"b\\c\n\u00e9\U0001f600'
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u00e9\u2028\U0001f600'),
+        st.characters(),
+    )
+) | st.sampled_from(list(_Word))
+_NUMBERS = (
+    st.integers()
+    | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, _Count.TWO])
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, math.nan, math.inf, -math.inf])
+)
+_JSON = st.recursive(
+    _TEXT | _NUMBERS | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_render_json_equals_the_stdlib_renderer(doc):
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# json would write the int key as "1"; every key the CLI writes is a str
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [b"bytes"], {1: "int key"}])
+def test_render_json_raises_type_error_outside_its_contract(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
+
+
+def test_render_json_leaves_no_reference_cycles(t1):
+    """A writer that recursed through a closure would leave one cycle per
+    call, kept alive until the cyclic collector runs."""
+    scenario = scenario_for(
+        t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2)]
+    )
+    report = run_loop(scenario)
+    gc.collect()
+    gc.disable()
+    try:
+        emit_report(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_report_flags_parameter_sources(t1):

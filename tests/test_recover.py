@@ -53,6 +53,16 @@ def test_strategy_override_merges_over_defaults():
     )
 
 
+def test_default_table_loads_as_a_strategy_document():
+    """Every default entry passes the checks a strategy document gets."""
+    default = default_strategy_table()
+    doc = {
+        fc.value: [{"kind": tpl.kind.value, "scope": tpl.scope} for tpl in templates]
+        for fc, templates in default.entries.items()
+    }
+    assert strategy_table_from_dict(doc) == default
+
+
 # ---------------------------------------------------------------------------
 # plan selection
 
