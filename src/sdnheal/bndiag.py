@@ -38,8 +38,9 @@ A call then works only on the positive findings and the faults they
 touch (any observed finding, under partial evidence) and copies the
 resting pairs of the rest, as Quickscore (Heckerman 1989) and Jaakkola
 & Jordan (1999) pay only for positive findings. Two oracles that share
-no code with it check it: brute-force joint enumeration (up to 20
-variables) and Quickscore (up to 16 positive findings).
+no code with it check it: brute-force joint enumeration (`enumerate_joint`,
+up to 20 variables) and, in the tests, Quickscore (up to 16 positive
+findings).
 """
 
 from __future__ import annotations
@@ -599,8 +600,9 @@ def posterior_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     only subtraction is one per finding and assignment, of two nonnegative
     products taken in the same order, so no mass rounds below zero.
 
-    A call with a component of more than MAX_SHARED_FAULTS shared faults
-    runs the variable-elimination path (`_eliminate`) instead. The sum
+    A component of more than MAX_SHARED_FAULTS shared faults runs the
+    variable-elimination path (`_eliminate`) instead; the other components
+    of the same call are still conditioned or solved in closed form. The sum
     costs 2^|S| times the component's findings, while elimination's cost
     follows the width of a min-fill order, which stays small on these
     path-shaped networks. On the `diagnose-desk` incidents of seeds 1 to
@@ -626,15 +628,17 @@ def posterior_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     unary = {fid: _sorted_product(parts) for fid, parts in tables.items()}
 
     blamed = Counter(parent for sid in stars for parent in net.findings[sid][0])
-    components = _components(net, stars, blamed)
-    if any(len(shared) > MAX_SHARED_FAULTS for _, shared in components):
-        return _eliminate(bn, evidence)
     pairs = dict(resting.pairs)  # in id order, which the updates keep
     for fid, pair in unary.items():
         if fid not in blamed:
             pairs[fid] = _normalized(*pair)
-    for members, shared in components:
-        if shared:
+    factors = None  # compiled for the first component above the cap
+    for members, shared in _components(net, stars, blamed):
+        if len(shared) > MAX_SHARED_FAULTS:
+            if factors is None:
+                factors = compile_factors(bn, evidence)
+            _eliminate(net, factors, members, shared, pairs)
+        elif shared:
             _condition(net, unary, blamed, members, shared, pairs)
         else:
             (sid,) = members
@@ -784,45 +788,31 @@ def _rest_sums(outside: np.ndarray, items: list) -> list[tuple[float, float]]:
             + _rest_sums(_times(outside, items[:half]), items[half:]))
 
 
-def _eliminate(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
-    """Exact P(fault | evidence) by variable elimination over `compile_factors`.
+def _eliminate(
+    net: CompiledNet, factors: list[Factor], members: list[str], shared: list[str],
+    pairs: dict,
+) -> None:
+    """Posteriors of one component's faults by variable elimination over its
+    own factors of `factors` (`compile_factors`).
 
     The path for components with more than MAX_SHARED_FAULTS shared faults.
-    A fault that shares no factor with an auxiliary variable gets the
-    normalized product of its unary factors, in sorted order. The other
-    faults and the auxiliary variables go through one variable-elimination
-    sweep along a min-fill order. A reverse sweep then sends each bucket
-    the product of everything outside its subtree, so every fault marginal
-    is read off its own bucket. A bucket with many children builds those
-    messages from prefix and suffix products, in time linear in the
-    number of children.
+    The component's faults and auxiliary variables go through one
+    variable-elimination sweep along a min-fill order. A reverse sweep then
+    sends each bucket the product of everything outside its subtree, so
+    every fault marginal is read off its own bucket. A bucket with many
+    children builds those messages from prefix and suffix products, in time
+    linear in the number of children.
     """
-    net = bn.compiled
-    factors = compile_factors(bn, evidence)
-    resting = net.closed if net.observes_all(evidence) else net.open
-    linked = {v for f in factors if len(f.scope) > 1 for v in f.scope}
-    alone: dict[str, list[list[float]]] = {}
-    joint: list[Factor] = []
-    for f in factors:
-        if f.scope[0] in linked:
-            joint.append(f)
-        else:
-            alone.setdefault(f.scope[0], []).append(f.table.tolist())
-    if any(fid not in alone and fid not in linked for fid in resting.void):
-        raise ImpossibleEvidenceError("evidence has zero probability under the network")
-
-    pairs = dict(resting.pairs)  # in id order, which the updates keep
-    for fid, tables in alone.items():
-        pairs[fid] = _normalized(*_sorted_product(tables))
+    variables = {aux_var_id(sid) for sid in members}
+    variables.update(parent for sid in members for parent in net.findings[sid][0])
+    joint = [f for f in factors if f.scope[0] in variables]
 
     # An auxiliary variable summed out after a fault it shares with another
     # finding leaves signed messages, whose later sums cancel the way
     # Quickscore's alternating sum does (errors near 1e-9 were seen on
     # 10-node networks). Faults shared by findings therefore go last: then
     # every subtraction meets only nonnegative operands, and only once.
-    blamed = Counter(f.scope[0] for f in joint if len(f.scope) == 2)
-    shared = frozenset(fid for fid, n in blamed.items() if n > 1)
-    order = min_fill_order({v for f in joint for v in f.scope}, [f.scope for f in joint], shared)
+    order = min_fill_order(variables, [f.scope for f in joint], frozenset(shared))
     position = {v: i for i, v in enumerate(order)}
 
     def multiply(f1: Factor, f2: Factor) -> Factor:
@@ -865,7 +855,7 @@ def _eliminate(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
         prefix = [combine(buckets[i])]
         for _, message in children[i]:
             prefix.append(multiply(prefix[-1], message))
-        if order[i] in bn.priors:
+        if order[i] in net.priors:
             off, on = prefix[-1].table.reshape(2, -1).sum(axis=1).tolist()
             pairs[order[i]] = _normalized(off, on)
         suffix = None
@@ -874,7 +864,6 @@ def _eliminate(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
             rest = prefix[j] if suffix is None else multiply(prefix[j], suffix)
             buckets[child].append(_project(rest, message.scope))
             suffix = message if suffix is None else multiply(message, suffix)
-    return Posterior(pairs=pairs)
 
 
 def enumerate_joint(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
@@ -918,77 +907,6 @@ def enumerate_joint(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
         p_true = float(joint[mask & (bit(fid) == 1)].sum())
         pairs[fid] = ((z - p_true) / z, p_true / z)
     return Posterior(pairs=pairs)
-
-
-QUICKSCORE_MAX_POSITIVES = 16
-
-
-def quickscore_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
-    """Second reference oracle: Quickscore (Heckerman 1989).
-
-    P(F+ positive, F- negative) is the alternating sum, over subsets S of
-    the positive findings F+, of (-1)^|S| P(S and F- all negative), and
-    P(a set of findings all negative) factorizes over the faults. Costs
-    2^|F+| terms, so it refuses more than 16 positive findings. The sum
-    loses digits to cancellation when the evidence is improbable (1e-7 on
-    a 10-node network whose positive findings only near-ruled-out faults
-    explain), so a disagreement with it needs a third opinion. For the
-    same reason it is no reference for overlapping faults under
-    closed-world or partial evidence: their silent indirect effects make
-    such evidence improbable, and the alternating sum then cancels, to
-    errors near 1 or a non-positive total. The tests that use it as their
-    only oracle inject single faults. Unlike
-    `enumerate_joint` it scales with the network, not with 2^variables.
-    Shares no code with the variable-elimination path.
-    """
-    for key in evidence:
-        if key not in bn.cpts:
-            raise BnError(f"evidence key is not a symptom variable: {key}")
-    positive = sorted(sid for sid, value in evidence.items() if value)
-    if len(positive) > QUICKSCORE_MAX_POSITIVES:
-        raise BnError(
-            f"quickscore capped at {QUICKSCORE_MAX_POSITIVES} positive findings, "
-            f"got {len(positive)}"
-        )
-    faults = bn.fault_ids
-    column = {fid: i for i, fid in enumerate(faults)}
-
-    def misses(sid: str) -> np.ndarray:
-        """Per fault: P(it alone fails to trigger sid | it is active)."""
-        row = np.ones(len(faults))
-        cpt = bn.cpts[sid]
-        for parent, p in zip(cpt.parents, cpt.link_probabilities):
-            row[column[parent]] *= 1.0 - p
-        return row
-
-    quiet = np.ones(len(faults))  # chance of raising none of F-
-    no_leak = 1.0
-    for sid, value in evidence.items():
-        if not value:
-            quiet *= misses(sid)
-            no_leak *= 1.0 - bn.cpts[sid].leak
-    prior = np.array([bn.priors[fid] for fid in faults])
-    on = prior * quiet / (1.0 - prior + prior * quiet)
-
-    # Faults that some positive finding can blame: one row per subset S.
-    blamed = sorted({column[p] for sid in positive for p in bn.cpts[sid].parents})
-    subset = np.arange(2 ** len(positive))
-    silent = np.tile(quiet[blamed], (len(subset), 1))
-    weight = np.full(len(subset), no_leak)
-    for j, sid in enumerate(positive):
-        chosen = (subset >> j) & 1 == 1
-        silent[chosen] *= misses(sid)[blamed]
-        weight[chosen] *= -(1.0 - bn.cpts[sid].leak)
-    p_blamed = prior[blamed]
-    either = 1.0 - p_blamed + p_blamed * silent
-    weight *= either.prod(axis=1)
-    z = math.fsum(weight)
-    if z <= 0.0:
-        raise ImpossibleEvidenceError("evidence has zero probability under the network")
-    share = weight[:, None] * (p_blamed * silent / either)
-    for k, i in enumerate(blamed):
-        on[i] = math.fsum(share[:, k]) / z
-    return Posterior(pairs={fid: (float(1.0 - on[i]), float(on[i])) for fid, i in column.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
         raise _InputError(f"threshold must be in (0,1): {args.threshold}")
     bn = _load(args.network, "network document", bndiag.bn_from_dict)
     evidence = _load(args.evidence, "evidence document", _evidence_map)
+    symptoms = set(bn.symptom_ids)
+    for key in evidence:
+        if key not in symptoms:
+            raise _InputError(f"evidence key is not a symptom variable: {key}")
     posterior = bndiag.posterior_marginals(bn, evidence)
     diagnosis = bndiag.map_diagnosis(posterior, args.threshold, bn.priors)
     doc = {

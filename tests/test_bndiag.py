@@ -23,13 +23,13 @@ from sdnheal.bndiag import (
     enumerate_joint,
     map_diagnosis,
     posterior_marginals,
-    quickscore_marginals,
 )
 from sdnheal.netmodel import NodeKind
 from sdnheal.simkernel import FaultEvent, Scenario
 from sdnheal.taxonomy import FaultClass, Symptom
 
 from conftest import make_bn2, random_evidence, random_noisy_or_bn
+from oracles import QUICKSCORE_MAX_POSITIVES, quickscore_marginals
 from topogen import random_topology
 
 # Frozen from the enumeration oracle (cross-checked by hand arithmetic on
@@ -262,7 +262,7 @@ def test_build_bn_long_paths_match_quickscore():
     bn = bndiag.build_bn(topo)
     assert max(len(cpt.parents) for cpt in bn.cpts.values()) > 10
     evidence = _incident_evidence(topo, bn, _longest_service_link(topo))
-    assert 0 < sum(evidence.values()) <= bndiag.QUICKSCORE_MAX_POSITIVES
+    assert 0 < sum(evidence.values()) <= QUICKSCORE_MAX_POSITIVES
     assert max(len(f.scope) for f in bndiag.compile_factors(bn, evidence)) == 2
     _assert_matches_quickscore(bn, evidence)
 
@@ -690,6 +690,33 @@ def test_elimination_runs_only_above_the_shared_fault_cap(n_shared, monkeypatch)
     assert len(orders) == (n_shared > bndiag.MAX_SHARED_FAULTS)
 
 
+def test_elimination_solves_only_the_component_above_the_cap(monkeypatch):
+    """One component above the shared-fault cap and a disjoint one of two
+    findings that share one fault: only the first goes through elimination,
+    and the second is still conditioned."""
+    wide, evidence = _findings_sharing_parents(bndiag.MAX_SHARED_FAULTS + 1)
+    small = ["fault:drop:s", "fault:drop:u", "fault:drop:v"]
+    variables = [*wide.variables]
+    variables += [bndiag.BnVariable(id=fid, kind="fault", target=fid) for fid in small]
+    priors = {**wide.priors, "fault:drop:s": 0.02, "fault:drop:u": 0.03, "fault:drop:v": 0.01}
+    cpts = dict(wide.cpts)
+    for private, p in (("u", 0.9), ("v", 0.7)):
+        sid = f"symptom:sla-violation:{private.upper()}"
+        variables.append(bndiag.BnVariable(id=sid, kind="symptom", target=private.upper()))
+        parents = ("fault:drop:s", f"fault:drop:{private}")
+        cpts[sid] = bndiag.NoisyOrCpt(sid, parents, (0.8, p), 0.001)
+        evidence[sid] = True
+    bn = bndiag.BayesNet(variables=tuple(variables), priors=priors, cpts=cpts)
+
+    orders = _record_orders(monkeypatch)
+    posterior = posterior_marginals(bn, evidence)
+    (args,) = orders
+    assert not set(small) & set(args[0])
+    for p_false, p_true in posterior.pairs.values():
+        assert abs(p_false + p_true - 1.0) <= 1e-12
+    _assert_matches_quickscore(bn, evidence)
+
+
 def _overlapping_incident(topo, bn, faults):
     """Closed-world evidence one tick after every fault is injected at once."""
     events = tuple(FaultEvent(target, fault_class, 1) for fault_class, target in faults)
@@ -744,7 +771,7 @@ def test_overlapping_faults_match_an_oracle(seed, n_nodes, data):
         engine = posterior_marginals(bn, evidence)
         for p_false, p_true in engine.pairs.values():
             assert abs(p_false + p_true - 1.0) <= 1e-12
-        if sum(evidence.values()) <= bndiag.QUICKSCORE_MAX_POSITIVES:
+        if sum(evidence.values()) <= QUICKSCORE_MAX_POSITIVES:
             try:
                 quick = quickscore_marginals(bn, evidence).marginals
             except ImpossibleEvidenceError:  # its sum cancelled to <= 0
@@ -855,7 +882,7 @@ def test_quickscore_matches_enumeration_on_the_criterion_1_sweep():
 def test_quickscore_refuses_too_many_positive_findings():
     rng = random.Random(3)
     bn = random_noisy_or_bn(rng, max_vars=40)
-    while len(bn.symptom_ids) <= bndiag.QUICKSCORE_MAX_POSITIVES:
+    while len(bn.symptom_ids) <= QUICKSCORE_MAX_POSITIVES:
         bn = random_noisy_or_bn(rng, max_vars=40)
     with pytest.raises(BnError, match="capped at 16 positive findings"):
         quickscore_marginals(bn, {sid: True for sid in bn.symptom_ids})
@@ -889,7 +916,7 @@ def test_link_incidents_match_quickscore_at_scale(n_nodes):
     bn = bndiag.build_bn(topo)
     link = topo.services[0].path[3]
     evidence = _incident_evidence(topo, bn, link)
-    assert 0 < sum(evidence.values()) <= bndiag.QUICKSCORE_MAX_POSITIVES
+    assert 0 < sum(evidence.values()) <= QUICKSCORE_MAX_POSITIVES
     _assert_matches_quickscore(bn, evidence)
     assert posterior_marginals(bn, evidence).ranking()[0][0] == f"fault:physical:{link}"
 
@@ -898,7 +925,7 @@ def test_controller_crash_at_100_nodes():
     topo = random_topology(7777, n_nodes=100, n_services=20)
     bn = bndiag.build_bn(topo)
     evidence = _incident_evidence(topo, bn, topo.controller_id, FaultClass.CONTROLLER_CRASH)
-    assert sum(evidence.values()) > bndiag.QUICKSCORE_MAX_POSITIVES
+    assert sum(evidence.values()) > QUICKSCORE_MAX_POSITIVES
     started = time.perf_counter()
     posterior = posterior_marginals(bn, evidence)
     elapsed = time.perf_counter() - started

@@ -418,6 +418,11 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         _diagnose_case(_two_fault_doc(), "--threshold", "1.5"),
         _diagnose_case(_two_fault_doc(), "--threshold", "0"),
         ({}, ["run", SCENARIO, "--threshold", "1.5"]),
+        # evidence on a symptom the network lacks
+        (
+            {"bn.json": _two_fault_doc(), "e.json": {"symptom:link-down:nope": True}},
+            ["diagnose", "bn.json", "--evidence", "e.json"],
+        ),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
