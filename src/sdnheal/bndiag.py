@@ -203,7 +203,7 @@ def params_from_dict(doc: dict | None) -> BnParams:
             for cls_name, p in value.items():
                 if cls_name not in _PRIOR_KEYS:
                     raise BnError(f"unknown fault class in priors: {cls_name}")
-                kwargs[_PRIOR_KEYS[cls_name]] = float(p)
+                kwargs[_PRIOR_KEYS[cls_name]] = _number(p, f"prior of {cls_name}")
         elif key == "threshold":
             raise BnError(
                 "threshold is not a network parameter; the loop's diagnosis "
@@ -212,13 +212,20 @@ def params_from_dict(doc: dict | None) -> BnParams:
         elif key in _PARAM_KEYS:
             field = _PARAM_KEYS[key]
             if field != "include_hosts":
-                value = float(value)
+                value = _number(value, key)
             elif not isinstance(value, bool):
                 raise BnError(f"include-hosts must be true or false: {value!r}")
             kwargs[field] = value
         else:
             raise BnError(f"unknown parameter key: {key}")
     return replace(BnParams(), **kwargs)
+
+
+def _number(value, what: str) -> float:
+    # a bool is an int to Python, and float() would parse a string
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BnError(f"{what} must be a number: {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

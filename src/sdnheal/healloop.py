@@ -498,16 +498,10 @@ def _render(value, newline: str, parts: list[str]) -> None:
 
 
 def _action_to_dict(action: RecoveryAction) -> dict:
-    params = {}
-    for key, value in sorted(action.params.items()):
-        if isinstance(value, (tuple, set, frozenset)):
-            params[key] = sorted(value)
-        else:
-            params[key] = value
     return {
         "kind": action.kind.value,
         "target": action.target,
-        "params": params,
+        "params": {"avoid": sorted(action.avoid)} if action.avoid else {},
         "fallback": _action_to_dict(action.fallback) if action.fallback else None,
     }
 

@@ -14,9 +14,12 @@ verbatim; a `state`, when present, must be "up":
      "nodes":    [{"id": "c0", "kind": "controller", "state": "up"}, ...],
      "links":    [{"id": "l1", "endpoints": ["s1", "s2"], "state": "up",
                    "management": false}, ...],
-     "services": [{"id": "v1", "kind": "streaming",
+     "services": [{"id": "v1",
                    "path": ["h1", "la", "s1", "l1", "s2", "lb", "h2"],
-                   "clients": ["h1"], "state": "up"}, ...]}
+                   "state": "up"}, ...]}
+
+`management` must be a JSON boolean. Keys the model does not hold, such
+as a service's `kind` or `clients`, are ignored.
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ class LinkState(str, Enum):
     DOWN = "down"
 
 
-class ServiceKind(str, Enum):
-    STREAMING = "streaming"
-    GENERIC = "generic"
-
-
 class ServiceState(str, Enum):
     UP = "up"
     DEGRADED = "degraded"
@@ -87,9 +85,7 @@ class Link:
 @dataclass(frozen=True)
 class Service:
     id: str
-    kind: ServiceKind
     path: tuple[str, ...]
-    clients: frozenset[str]
     state: ServiceState = ServiceState.UP
 
 
@@ -133,6 +129,18 @@ class Topology:
             for end in l.endpoints:
                 incident.setdefault(end, []).append(l.id)
         return {node: tuple(ids) for node, ids in incident.items()}
+
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Per node, its sorted (neighbour id, link id) pairs over the links
+        that can carry data: not management, and both ends nodes."""
+        adjacency: dict[str, list[tuple[str, str]]] = {n.id: [] for n in self.nodes}
+        for l in self.links:
+            a, b = l.endpoints
+            if not l.management and a in adjacency and b in adjacency:
+                adjacency[a].append((b, l.id))
+                adjacency[b].append((a, l.id))
+        return {node: tuple(sorted(pairs)) for node, pairs in adjacency.items()}
 
     def services_through(self, cid: str) -> tuple[str, ...]:
         """Ids of the services whose path runs through a component, in id order."""
@@ -211,11 +219,14 @@ def load_topology(doc: dict) -> Topology:
         endpoints = entry.get("endpoints", [])
         if len(endpoints) != 2:
             raise TopologyError(f"link {entry.get('id')!r} needs exactly 2 endpoints")
+        management = entry.get("management", False)
+        if not isinstance(management, bool):  # bool("false") is True
+            raise TopologyError(f"link {entry.get('id')!r} management not a boolean")
         links.append(
             Link(
                 id=str(entry["id"]),
                 endpoints=(str(endpoints[0]), str(endpoints[1])),
-                management=bool(entry.get("management", False)),
+                management=management,
             )
         )
     services = []
@@ -224,9 +235,7 @@ def load_topology(doc: dict) -> Topology:
         services.append(
             Service(
                 id=str(entry["id"]),
-                kind=_parse_enum(ServiceKind, entry.get("kind", "generic"), "service kind"),
                 path=tuple(str(p) for p in entry.get("path", [])),
-                clients=frozenset(str(c) for c in entry.get("clients", [])),
             )
         )
 
@@ -273,11 +282,6 @@ def validate_topology(t: Topology) -> list[str]:
     link_ids = {l.id for l in t.links}
     for s in t.services:
         violations.extend(_validate_path(t, s, node_ids, link_ids))
-        for c in s.clients:
-            if c not in node_ids:
-                violations.append(f"dangling reference: service {s.id} client {c}")
-            elif t.node(c).kind is not NodeKind.HOST:
-                violations.append(f"client not a host: {s.id}/{c}")
 
     violations.extend(_validate_connectivity(t))
     return violations
@@ -314,29 +318,32 @@ def _validate_path(
 
 
 def _validate_connectivity(t: Topology) -> list[str]:
-    data_nodes = {n.id for n in t.nodes if n.kind is not NodeKind.CONTROLLER}
+    controllers = {n.id for n in t.nodes if n.kind is NodeKind.CONTROLLER}
+    data_nodes = {n.id for n in t.nodes} - controllers
     if len(data_nodes) <= 1:
         return []
-    adjacency: dict[str, set[str]] = {n: set() for n in data_nodes}
-    for l in t.links:
-        if l.management:
-            continue
-        a, b = l.endpoints
-        if a in data_nodes and b in data_nodes:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    start = min(data_nodes)
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        for other in adjacency[frontier.popleft()]:
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    unreachable = sorted(data_nodes - seen)
+    unreachable = sorted(data_nodes - _search(t, min(data_nodes), controllers).keys())
     if unreachable:
         return ["data plane not connected: " + ", ".join(unreachable)]
     return []
+
+
+def _search(
+    t: Topology, src: str, avoid: set[str] | frozenset[str], dst: str | None = None
+) -> dict[str, tuple[str, str] | None]:
+    """Breadth-first search of the data plane from src that skips every
+    neighbour and link in `avoid` and stops once dst is reached. Maps each
+    reached node to the (previous node, link) it was first reached by."""
+    reached: dict[str, tuple[str, str] | None] = {src: None}
+    frontier = deque([src])
+    while frontier and dst not in reached:
+        current = frontier.popleft()
+        for neighbor, link_id in t._adjacency[current]:
+            if neighbor in reached or neighbor in avoid or link_id in avoid:
+                continue
+            reached[neighbor] = (current, link_id)
+            frontier.append(neighbor)
+    return reached
 
 
 def dependency_set(t: Topology, service_id: str) -> set[str]:
@@ -370,42 +377,14 @@ def find_path(
         return None
     if src == dst:
         return [src]
-
-    adjacency: dict[str, list[tuple[str, str]]] = {n.id: [] for n in t.nodes}
-    for l in t.links:
-        if l.management or l.id in avoid:
-            continue
-        a, b = l.endpoints
-        adjacency[a].append((b, l.id))
-        adjacency[b].append((a, l.id))
-    for entries in adjacency.values():
-        entries.sort()
-
-    parent: dict[str, tuple[str, str]] = {}
-    seen = {src}
-    frontier = deque([src])
-    while frontier:
-        current = frontier.popleft()
-        if current == dst:
-            break
-        for neighbor, link_id in adjacency[current]:
-            if neighbor in seen or neighbor in avoid:
-                continue
-            seen.add(neighbor)
-            parent[neighbor] = (current, link_id)
-            frontier.append(neighbor)
-    if dst not in seen:
+    reached = _search(t, src, avoid, dst)
+    if dst not in reached:
         return None
-
     walk = [dst]
-    current = dst
-    while current != src:
-        prev, link_id = parent[current]
-        walk.append(link_id)
-        walk.append(prev)
-        current = prev
-    walk.reverse()
-    return walk
+    while walk[-1] != src:
+        prev, link_id = reached[walk[-1]]
+        walk += (link_id, prev)
+    return walk[::-1]
 
 
 def set_component_state(t: Topology, cid: str, state: str) -> Topology:

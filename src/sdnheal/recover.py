@@ -9,7 +9,7 @@ checked by polling the affected services until they read up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Protocol
 
@@ -40,7 +40,7 @@ class OutcomeStatus(str, Enum):
 class RecoveryAction:
     kind: ActionKind
     target: str
-    params: dict = field(default_factory=dict)
+    avoid: tuple[str, ...] = ()  # ids a reroute's new path must not use
     fallback: "RecoveryAction | None" = None
 
 
@@ -197,7 +197,7 @@ def select_strategy(
             RecoveryAction(
                 kind=primary.kind,
                 target=service_id,
-                params={"avoid": (target,)},
+                avoid=(target,),
                 fallback=fallback,
             )
             for service_id in topology.services_through(target)

@@ -231,24 +231,34 @@ def load_scenario(doc: dict) -> Scenario:
             FaultEvent(
                 target=str(entry["target"]),
                 fault_class=fault_class,
-                at_tick=int(entry["at-tick"]),
+                at_tick=_number(entry, "at-tick", int),
             )
         )
 
     noise_doc = doc.get("noise", {})
     noise = NoiseConfig(
         mode=NoiseMode(noise_doc.get("mode", "deterministic")),
-        alarm_loss_probability=float(noise_doc.get("alarm-loss-probability", 0.0)),
-        spurious_alarm_rate=float(noise_doc.get("spurious-alarm-rate", 0.0)),
+        alarm_loss_probability=_number(noise_doc, "alarm-loss-probability", float, 0.0),
+        spurious_alarm_rate=_number(noise_doc, "spurious-alarm-rate", float, 0.0),
     )
     return Scenario(
         topology=topology,
         faults=tuple(faults),
         noise=noise,
-        seed=int(doc.get("seed", 0)),
-        horizon=int(doc.get("horizon", 100)),
-        repair_delay=int(doc.get("repair-delay", DEFAULT_REPAIR_DELAY)),
+        seed=_number(doc, "seed", int, 0),
+        horizon=_number(doc, "horizon", int, 100),
+        repair_delay=_number(doc, "repair-delay", int, DEFAULT_REPAIR_DELAY),
     )
+
+
+def _number(doc: dict, key: str, kind: type, default=None):
+    # a JSON number, and for int an integer: int() and float() would also
+    # take a bool or a string, and int() would truncate
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        expected = "an integer" if kind is int else "a number"
+        raise SimError(f"{key} must be {expected}: {value!r}")
+    return kind(value)
 
 
 def _validate_scenario(s: Scenario) -> None:
@@ -442,7 +452,7 @@ def apply_action(
 
     if action.kind is ActionKind.REROUTE:
         service = topology.service(action.target)
-        avoid = frozenset(action.params.get("avoid", ())) | state.down
+        avoid = state.down.union(action.avoid)
         path = netmodel.find_path(topology, service.path[0], service.path[-1], avoid)
         if path is None:
             return state, _failure(action, "no alternative path")

@@ -262,10 +262,10 @@ def _topology_doc_without_node_id():
     return doc
 
 
-def _t1_doc_with_state(category, cid, state):
+def _t1_doc_with(category, cid, key, value):
     doc = json.loads((DATA_DIR / "t1.topology.json").read_text())
     (entry,) = (e for e in doc[category] if e["id"] == cid)
-    entry["state"] = state
+    entry[key] = value
     return doc
 
 
@@ -359,10 +359,10 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
             ["run", "x.scenario.json"],
         ),
         # nothing reads a component's state, so only "up" is accepted
-        ({"t.json": _t1_doc_with_state("nodes", "s3", "down")}, ["validate", "t.json"]),
-        ({"t.json": _t1_doc_with_state("links", "l1", "down")}, ["validate", "t.json"]),
+        ({"t.json": _t1_doc_with("nodes", "s3", "state", "down")}, ["validate", "t.json"]),
+        ({"t.json": _t1_doc_with("links", "l1", "state", "down")}, ["validate", "t.json"]),
         (
-            {"t.json": _t1_doc_with_state("services", "v1", "degraded")},
+            {"t.json": _t1_doc_with("services", "v1", "state", "degraded")},
             ["validate", "t.json"],
         ),
         # networks whose posteriors would be wrong: zip would drop fault B,
@@ -422,6 +422,43 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         (
             {"bn.json": _two_fault_doc(), "e.json": {"symptom:link-down:nope": True}},
             ["diagnose", "bn.json", "--evidence", "e.json"],
+        ),
+        # a link's management flag is a JSON boolean: bool("false") is True
+        *(
+            ({"t.json": _t1_doc_with("links", "l1", "management", value)},
+             ["validate", "t.json"])
+            for value in ("false", 0)
+        ),
+        # numbers are JSON numbers, and tick counts and seeds integers:
+        # int() would truncate 2.7 and read true and "2", float() read "0.3"
+        *(
+            ({"x.scenario.json": _scenario_doc(faults=[
+                {"target": "l1", "class": "physical-failure", "at-tick": tick}
+            ])}, ["run", "x.scenario.json"])
+            for tick in (2.7, True, "2")
+        ),
+        *(
+            ({"x.scenario.json": _scenario_doc(**{key: value})}, ["run", "x.scenario.json"])
+            for key, value in (
+                ("seed", "7"), ("seed", 7.5), ("horizon", "10"), ("horizon", 10.0),
+                ("repair-delay", "2"), ("repair-delay", True),
+            )
+        ),
+        *(
+            ({"x.scenario.json": _scenario_doc(noise={
+                "mode": "stochastic", "alarm-loss-probability": 0.0,
+                "spurious-alarm-rate": 0.0, key: value,
+            })}, ["run", "x.scenario.json"])
+            for key, value in (
+                ("alarm-loss-probability", "0.3"), ("spurious-alarm-rate", True),
+            )
+        ),
+        *(
+            ({"p.json": doc}, ["run", SCENARIO, "--params", "p.json"])
+            for doc in (
+                {"leak": True}, {"p-direct": "0.9"}, {"p-indirect": False},
+                {"priors": {"physical-failure": "0.01"}},
+            )
         ),
     ],
 )

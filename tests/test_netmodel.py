@@ -1,9 +1,13 @@
 import json
+import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnheal import netmodel
-from sdnheal.netmodel import NodeKind, TopologyError
+from sdnheal.netmodel import Link, NodeKind, Topology, TopologyError
 
 from topogen import random_topology
 
@@ -95,12 +99,7 @@ def test_dependency_set_single_host_path():
         ),
         links=(),
         services=(
-            netmodel.Service(
-                id="v9",
-                kind=netmodel.ServiceKind.GENERIC,
-                path=("h1",),
-                clients=frozenset({"h1"}),
-            ),
+            netmodel.Service(id="v9", path=("h1",)),
         ),
     )
     assert netmodel.dependency_set(topo, "v9") == {"h1"}
@@ -193,6 +192,113 @@ def _assert_valid_walk(topo, walk, avoid):
         assert hop not in avoid
         if i % 2 == 1:
             assert set(topo.link(hop).endpoints) == {walk[i - 1], walk[i + 1]}
+
+
+def _reference_find_path(t, src, dst, avoid):
+    """find_path as a search of its own: the adjacency of every node
+    rebuilt and sorted on each call."""
+    if src in avoid or dst in avoid:
+        return None
+    if src == dst:
+        return [src]
+    adjacency = {n.id: [] for n in t.nodes}
+    for l in t.links:
+        if l.management or l.id in avoid:
+            continue
+        a, b = l.endpoints
+        adjacency[a].append((b, l.id))
+        adjacency[b].append((a, l.id))
+    for entries in adjacency.values():
+        entries.sort()
+    parent = {}
+    seen = {src}
+    frontier = deque([src])
+    while frontier:
+        current = frontier.popleft()
+        if current == dst:
+            break
+        for neighbor, link_id in adjacency[current]:
+            if neighbor in seen or neighbor in avoid:
+                continue
+            seen.add(neighbor)
+            parent[neighbor] = (current, link_id)
+            frontier.append(neighbor)
+    if dst not in seen:
+        return None
+    walk = [dst]
+    while walk[-1] != src:
+        prev, link_id = parent[walk[-1]]
+        walk += [link_id, prev]
+    return walk[::-1]
+
+
+def _reference_connectivity(t):
+    """The data-plane check as a search of its own over the non-controller
+    nodes and the non-management links between them."""
+    data_nodes = {n.id for n in t.nodes if n.kind is not NodeKind.CONTROLLER}
+    if len(data_nodes) <= 1:
+        return []
+    adjacency = {n: set() for n in data_nodes}
+    for l in t.links:
+        a, b = l.endpoints
+        if not l.management and a in data_nodes and b in data_nodes:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    start = min(data_nodes)
+    seen = {start}
+    frontier = deque([start])
+    while frontier:
+        for other in adjacency[frontier.popleft()]:
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    unreachable = sorted(data_nodes - seen)
+    return ["data plane not connected: " + ", ".join(unreachable)] if unreachable else []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=4, max_value=30),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.integers(min_value=0, max_value=4),
+)
+def test_one_search_walks_as_a_per_call_search(seed, n_nodes, drop, extra):
+    """On a topology with links dropped and management links, controller
+    links and links to unknown nodes added: every walk, tie-breaks
+    included, and the connectivity verdict are those of a search that
+    builds its own adjacency, and a link to an unknown node carries
+    nothing."""
+    rng = random.Random(seed)
+    base = random_topology(seed, n_nodes=n_nodes, n_services=0)
+    node_ids = [n.id for n in base.nodes]
+    kept = [l for l in base.links if rng.random() >= drop]
+    added = [
+        *(Link(id=f"m{i:03d}", endpoints=tuple(rng.sample(node_ids, 2)), management=True)
+          for i in range(extra)),
+        *(Link(id=f"k{i:03d}", endpoints=("c0", rng.choice(node_ids[1:])),
+               management=rng.random() < 0.5)
+          for i in range(extra)),
+    ]
+    dangling = [
+        Link(id=f"d{i:03d}", endpoints=(rng.choice(node_ids), f"x{i}"))
+        for i in range(extra)
+    ]
+    topo = Topology(nodes=base.nodes, links=(*kept, *added, *dangling), services=())
+    without_dangling = Topology(nodes=base.nodes, links=(*kept, *added), services=())
+
+    connectivity = [
+        v for v in netmodel.validate_topology(topo) if v.startswith("data plane")
+    ]
+    assert connectivity == _reference_connectivity(topo)
+
+    component_ids = node_ids + [l.id for l in topo.links]
+    for _ in range(20):
+        src, dst = rng.choice(node_ids), rng.choice(node_ids)
+        avoid = set(rng.sample(component_ids, rng.randrange(4)))
+        assert netmodel.find_path(topo, src, dst, avoid) == _reference_find_path(
+            without_dangling, src, dst, avoid
+        )
 
 
 def test_set_component_state_point_update(t1):

@@ -73,7 +73,7 @@ def test_select_strategy_physical_failure_reroutes_dependents(t1):
     action = plan[0]
     assert action.kind is ActionKind.REROUTE
     assert action.target == "v1"
-    assert action.params["avoid"] == ("l1",)
+    assert action.avoid == ("l1",)
     assert action.fallback is not None
     assert action.fallback.kind is ActionKind.OPEN_REPAIR_TICKET
     assert action.fallback.target == "l1"
@@ -209,7 +209,7 @@ def test_execute_plan_single_success():
 def test_execute_plan_failure_fires_fallback():
     fallback = RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="l1")
     action = RecoveryAction(
-        kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)},
+        kind=ActionKind.REROUTE, target="v1", avoid=("l1",),
         fallback=fallback,
     )
     actuator, calls = scripted_actuator(

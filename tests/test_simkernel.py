@@ -467,7 +467,7 @@ def test_probes_agree_with_alarms_on_overlapping_faults(seed, data):
 def test_reroute_swaps_path(t1):
     state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     action = RecoveryAction(
-        kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)}
+        kind=ActionKind.REROUTE, target="v1", avoid=("l1",)
     )
     state, outcome = simkernel.apply_action(state, action)
     assert outcome.status is OutcomeStatus.SUCCESS
@@ -480,7 +480,7 @@ def test_reroute_swaps_path(t1):
 def test_reroute_without_alternative_fails_gracefully(t1):
     state = simkernel.init_sim(scenario_for(t1))
     action = RecoveryAction(
-        kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1", "l2")}
+        kind=ActionKind.REROUTE, target="v1", avoid=("l1", "l2")
     )
     state, outcome = simkernel.apply_action(state, action)
     assert outcome.status is OutcomeStatus.FAILURE
@@ -597,13 +597,13 @@ def test_topology_replaced_only_when_a_path_changes(t1):
     assert state.active_faults == frozenset()
 
     blocked = RecoveryAction(
-        kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1", "l2")}
+        kind=ActionKind.REROUTE, target="v1", avoid=("l1", "l2")
     )
     state, outcome = simkernel.apply_action(state, blocked)
     assert outcome.status is OutcomeStatus.FAILURE
     assert state.topology is topology
     state, outcome = simkernel.apply_action(
-        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
+        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", avoid=("l1",))
     )
     assert outcome.status is OutcomeStatus.SUCCESS
     assert state.topology is not topology
@@ -617,7 +617,7 @@ def test_scenario_vocabulary_holds_after_reroute(t1):
 
     state, _ = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     state, outcome = simkernel.apply_action(
-        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
+        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", avoid=("l1",))
     )
     assert outcome.status is OutcomeStatus.SUCCESS
     assert state.topology != state.scenario.topology
@@ -650,7 +650,7 @@ def test_actions_that_keep_faults_and_topology_keep_the_alarms(t1, monkeypatch):
         assert state.alarm_keys is alarms
     assert calls == []
     state, outcome = simkernel.apply_action(
-        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", params={"avoid": ("l1",)})
+        state, RecoveryAction(kind=ActionKind.REROUTE, target="v1", avoid=("l1",))
     )
     assert outcome.status is OutcomeStatus.SUCCESS
     assert state.alarm_keys != alarms  # service-down(v1) moves off l1's path
@@ -723,9 +723,9 @@ def _candidate_actions(state: SimState) -> list[RecoveryAction]:
         actions.append(RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target=target))
     for service in state.topology.services:
         for hop in (None, *service.path[2:-2]):
-            params = {"avoid": (hop,)} if hop else {}
+            avoid = (hop,) if hop else ()
             actions.append(
-                RecoveryAction(kind=ActionKind.REROUTE, target=service.id, params=params)
+                RecoveryAction(kind=ActionKind.REROUTE, target=service.id, avoid=avoid)
             )
     return actions
 

@@ -19,7 +19,7 @@ def _with_parallel_links(topo: Topology, seed: int, share: float) -> Topology:
                             for l in topo.links if l.id in twin)]
     services = [
         Service(
-            id=s.id, kind=s.kind, clients=s.clients,
+            id=s.id,
             path=tuple(twin[hop] if hop in twin and rng.random() < 0.5 else hop
                        for hop in s.path),
         )

@@ -8,7 +8,6 @@ from sdnheal.netmodel import (
     NetworkNode,
     NodeKind,
     Service,
-    ServiceKind,
     Topology,
 )
 
@@ -62,13 +61,7 @@ def random_topology(
         path = netmodel.find_path(bare, src, dst)
         if path is None or len(path) // 2 > max_path_links:
             continue
-        clients = frozenset(rng.sample(host_ids, k=min(3, len(host_ids))))
-        services.append(
-            Service(
-                id=f"v{len(services):02d}",
-                kind=ServiceKind.STREAMING,
-                path=tuple(path),
-                clients=clients,
-            )
-        )
+        # a client draw, kept so that every seed keeps its topology
+        rng.sample(host_ids, k=min(3, len(host_ids)))
+        services.append(Service(id=f"v{len(services):02d}", path=tuple(path)))
     return Topology(nodes=tuple(nodes), links=tuple(links), services=tuple(services))
