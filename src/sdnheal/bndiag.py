@@ -41,6 +41,16 @@ resting pairs of the rest, as Quickscore (Heckerman 1989) and Jaakkola
 no code with it check it: brute-force joint enumeration (`enumerate_joint`,
 up to 20 variables) and, in the tests, Quickscore (up to 16 positive
 findings).
+
+numpy is imported only on first use: to condition a component of more
+than MAX_FLOAT_SHARED_FAULTS (4) shared faults, to build the elimination
+path's factors (`compile_factors`), and by `enumerate_joint`. Narrower
+components are summed in Python floats with the operations numpy would
+run, in numpy's order, so their posteriors are bit-identical to numpy's.
+Each command-line run is one process, and importing numpy (about 100 ms)
+costs far more than a whole T1 run (1 to 2 ms); no run of the benchmark's
+T1 scenarios meets a component wider than four shared faults. From five
+on, numpy's arrays are faster.
 """
 
 from __future__ import annotations
@@ -49,14 +59,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from operator import itemgetter
-from typing import NamedTuple
-
-import numpy as np
+from functools import cached_property, reduce
+from operator import add, itemgetter, mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .netmodel import NodeKind, Topology
 from .taxonomy import FaultClass, Symptom, effects, symptom_vocabulary
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EvidenceMap = dict[str, bool]
 
@@ -222,10 +233,17 @@ def params_from_dict(doc: dict | None) -> BnParams:
 
 
 def _number(value, what: str) -> float:
-    # a bool is an int to Python, and float() would parse a string
+    # a bool is an int to Python, float() would parse a string and overflows
+    # on a large integer, and NaN passes every range check
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BnError(f"{what} must be a number: {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise BnError(f"{what} must be a finite number: {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +475,8 @@ def compile_factors(bn: BayesNet, evidence: EvidenceMap) -> list[Factor]:
     order, as in the resting pairs, so faults whose inputs are equal get
     bit-identical posteriors.
     """
+    import numpy as np
+
     net = bn.compiled
     positive = _positive_findings(net, evidence)
     factors = []
@@ -595,7 +615,9 @@ def posterior_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     shared faults leaves each finding a star whose q-product gains a
     factor prod over its shared parents of q^s (Pearl 1988, section 4.3,
     cutset conditioning), so the component sums over the 2^|S| assignments
-    of its shared set with numpy. A private fault's weight there is its
+    of its shared set: in Python floats up to MAX_FLOAT_SHARED_FAULTS
+    shared faults, in numpy arrays above, with bit-identical results
+    (`_FloatArrays`). A private fault's weight there is its
     own finding's clamped mass times the other findings' masses, formed by
     multiplying them (`_rest_sums`), never by dividing, since a mass can
     be 0. Quickscore (Heckerman 1989) would sum over 2^|F+| subsets of the
@@ -646,7 +668,8 @@ def posterior_marginals(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
                 factors = compile_factors(bn, evidence)
             _eliminate(net, factors, members, shared, pairs)
         elif shared:
-            _condition(net, unary, blamed, members, shared, pairs)
+            arrays = _FloatArrays if len(shared) <= MAX_FLOAT_SHARED_FAULTS else _NumpyArrays
+            _condition(net, unary, blamed, members, shared, pairs, arrays)
         else:
             (sid,) = members
             parents, qs, stay = net.findings[sid]
@@ -724,21 +747,17 @@ def _components(
 
 def _condition(
     net: CompiledNet, unary, blamed: Counter, members: list[str], shared: list[str],
-    pairs: dict,
+    pairs: dict, arrays: type[_FloatArrays] | type[_NumpyArrays],
 ) -> None:
     """Posteriors of one component's faults, summed over the assignments of
-    its shared faults: axis i of every array is shared[i], 0=off 1=on. A
-    finding's arrays span only its own shared parents' axes."""
+    its shared faults: axis i of every array is shared[i], 0=off 1=on.
+    `arrays` is `_FloatArrays` or `_NumpyArrays`."""
     axis = {fid: i for i, fid in enumerate(shared)}
+    k = len(shared)
 
-    def along(fid: str, values: tuple[float, float]) -> np.ndarray:
-        shape = [1] * len(shared)
-        shape[axis[fid]] = 2
-        return np.array(values).reshape(shape)
-
-    weight = along(shared[0], unary[shared[0]])
+    weight = arrays.along(k, 0, unary[shared[0]])
     for fid in shared[1:]:
-        weight = weight * along(fid, unary[fid])
+        weight = arrays.times(weight, arrays.along(k, axis[fid], unary[fid]))
     # findings with equal masses are one item, solved once
     items: dict[tuple, tuple] = {}
     blame: dict[str, list[tuple[str, float]]] = {fid: [] for fid in shared}
@@ -748,37 +767,38 @@ def _condition(
         linked = tuple((p, q) for p, q in zip(parents, qs) if p in axis)
         for p, q in linked:
             blame[p].append((sid, q))
-        key = (star.total, stay * star.miss, linked)
+        missed = stay * star.miss
+        key = (star.total, missed, linked)
         if key in items:
             items[key][2].append(star)
             continue
-        product = along(linked[0][0], (1.0, linked[0][1]))
+        product = arrays.along(k, axis[linked[0][0]], (1.0, linked[0][1]))
         for p, q in linked[1:]:
-            product = product * along(p, (1.0, q))
-        items[key] = (star.total - stay * star.miss * product, product, [star])
+            product = arrays.times(product, arrays.along(k, axis[p], (1.0, q)))
+        items[key] = (arrays.less(star.total, missed, product), product, [star])
 
-    joint = _times(weight, items.values())
+    joint = _times(arrays, weight, items.values())
     solved: dict[tuple, tuple[float, float]] = {}
     for i, fid in enumerate(shared):
         key = (unary[fid], tuple(blame[fid]))  # interchangeable faults: one sum
         if key not in solved:
-            others = tuple(j for j in range(len(shared)) if j != i)
-            solved[key] = _normalized(*joint.sum(axis=others).tolist())
+            solved[key] = _normalized(*arrays.keep(joint, i))
         pairs[fid] = solved[key]
-    for (r0, r1), (_, _, stars) in zip(_rest_sums(weight, list(items.values())), items.values()):
+    rest = _rest_sums(arrays, weight, list(items.values()))
+    for (r0, r1), (_, _, stars) in zip(rest, items.values()):
         for star in stars:
             star.private_pairs(unary, r0, r1, pairs)
 
 
-def _times(array: np.ndarray, items) -> np.ndarray:
+def _times(arrays, array, items):
     """The array times each item's mass, once per finding in the item."""
     for mass, _, stars in items:
         for _ in stars:
-            array = array * mass
+            array = arrays.times(array, mass)
     return array
 
 
-def _rest_sums(outside: np.ndarray, items: list) -> list[tuple[float, float]]:
+def _rest_sums(arrays, outside, items: list) -> list[tuple[float, float]]:
     """Per item: the sum over assignments of `outside` times the masses of
     every other finding, and of the same times the item's own q-product.
 
@@ -788,11 +808,113 @@ def _rest_sums(outside: np.ndarray, items: list) -> list[tuple[float, float]]:
     if len(items) == 1:
         mass, product, stars = items[0]
         for _ in stars[1:]:
-            outside = outside * mass
-        return [(float(outside.sum()), float((outside * product).sum()))]
+            outside = arrays.times(outside, mass)
+        return [(arrays.total(outside), arrays.total(arrays.times(outside, product)))]
     half = len(items) // 2
-    return (_rest_sums(_times(outside, items[half:]), items[:half])
-            + _rest_sums(_times(outside, items[:half]), items[half:]))
+    return (_rest_sums(arrays, _times(arrays, outside, items[half:]), items[:half])
+            + _rest_sums(arrays, _times(arrays, outside, items[:half]), items[half:]))
+
+
+# Conditioning's arrays, over k binary axes (one per shared fault), come in
+# two implementations with the same operations: numpy arrays, and flat
+# lists of Python floats in C order. Each list entry is computed with the
+# same float operations, in the same order, as numpy computes it, so both
+# give bit-identical posteriors, and the command line need not import
+# numpy until a component is wider than MAX_FLOAT_SHARED_FAULTS. On the
+# 1427 conditioning calls of the benchmark's `run-t1` (seed 1), `heal-loop`
+# (seeds 1, 2) and `diagnose-desk` (seeds 1, 9, 31) workloads, the median
+# call (best of 3, 2-vCPU shared host) took 38, 66, 52 and 115 us in
+# floats at 1 to 4 shared faults against 47, 89, 65 and 129 us in numpy,
+# but 178 against 154 us at 5, and 2507 against 217 us at 10.
+MAX_FLOAT_SHARED_FAULTS = 4
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """numpy's pairwise sum of values[start:start + n]: left to right below
+    8 values; up to 128, eight interleaved running sums combined as a tree,
+    then the leftovers; above, the two halves split at a multiple of 8."""
+    if n < 8:
+        return reduce(add, values[start:start + n], 0.0)
+    if n <= 128:
+        end = start + n - n % 8
+        r = values[start:start + 8]
+        for i in range(start + 8, end, 8):
+            r = list(map(add, r, values[i:i + 8]))
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end:start + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _full_sum(values: list[float]) -> float:
+    """`ndarray.sum()` of an array held in C order: numpy adds the pairwise
+    sum to 0.0."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _axis_sums(values: list[float], i: int) -> tuple[float, float]:
+    """`ndarray.sum` over every axis but axis i of a (2,)*k array held in C
+    order. Per value of axis i, the entries come in contiguous blocks of
+    2^(k-1-i), one per assignment of the axes before i: numpy adds each
+    block's pairwise sum to 0.0, block by block."""
+    stride = len(values) >> (i + 1)
+    off = on = 0.0
+    for start in range(0, len(values), 2 * stride):
+        off += _pairwise_sum(values, start, stride)
+        on += _pairwise_sum(values, start + stride, stride)
+    return off, on
+
+
+class _FloatArrays:
+    """Conditioning's arrays as flat lists of floats in C order, each
+    broadcast to every axis."""
+
+    @staticmethod
+    def along(k: int, i: int, pair: tuple[float, float]) -> list[float]:
+        """The pair along axis i, repeated over the other axes."""
+        stride = 1 << (k - 1 - i)
+        return ([pair[0]] * stride + [pair[1]] * stride) * (1 << i)
+
+    @staticmethod
+    def times(a: list[float], b: list[float]) -> list[float]:
+        return list(map(mul, a, b))
+
+    @staticmethod
+    def less(total: float, scale: float, a: list[float]) -> list[float]:
+        """total - scale * a"""
+        return [total - scale * x for x in a]
+
+    keep = staticmethod(_axis_sums)
+    total = staticmethod(_full_sum)
+
+
+class _NumpyArrays:
+    """Conditioning's arrays as numpy arrays, each with size 2 only on the
+    axes it spans."""
+
+    @staticmethod
+    def along(k: int, i: int, pair: tuple[float, float]) -> np.ndarray:
+        import numpy as np
+
+        shape = [1] * k
+        shape[i] = 2
+        return np.array(pair).reshape(shape)
+
+    times = staticmethod(mul)
+
+    @staticmethod
+    def less(total: float, scale: float, a: np.ndarray) -> np.ndarray:
+        return total - scale * a
+
+    @staticmethod
+    def keep(a: np.ndarray, i: int) -> tuple[float, float]:
+        others = tuple(j for j in range(a.ndim) if j != i)
+        return tuple(a.sum(axis=others).tolist())
+
+    @staticmethod
+    def total(a: np.ndarray) -> float:
+        return float(a.sum())
 
 
 def _eliminate(
@@ -879,6 +1001,8 @@ def enumerate_joint(bn: BayesNet, evidence: EvidenceMap) -> Posterior:
     Materializes the probability of all 2^n assignments, so it is capped at
     20 variables. Shares no code with the variable-elimination path.
     """
+    import numpy as np
+
     all_vars = sorted(v.id for v in bn.variables)
     n = len(all_vars)
     if n > 20:

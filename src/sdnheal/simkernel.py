@@ -252,13 +252,22 @@ def load_scenario(doc: dict) -> Scenario:
 
 
 def _number(doc: dict, key: str, kind: type, default=None):
-    # a JSON number, and for int an integer: int() and float() would also
-    # take a bool or a string, and int() would truncate
+    # a finite JSON number, and for int an integer: int() and float() would
+    # also take a bool or a string, int() would truncate, float() overflows
+    # on a large integer, and NaN passes every range check
     value = doc[key] if default is None else doc.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         expected = "an integer" if kind is int else "a number"
         raise SimError(f"{key} must be {expected}: {value!r}")
-    return kind(value)
+    if kind is int:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise SimError(f"{key} must be a finite number: {value!r}")
+    return number
 
 
 def _validate_scenario(s: Scenario) -> None:

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -715,6 +716,135 @@ def test_elimination_solves_only_the_component_above_the_cap(monkeypatch):
     for p_false, p_true in posterior.pairs.values():
         assert abs(p_false + p_true - 1.0) <= 1e-12
     _assert_matches_quickscore(bn, evidence)
+
+
+# ---------------------------------------------------------------------------
+# conditioning in Python floats and in numpy arrays
+
+
+def _float_mix(rng, n, pooled=0.2):
+    """n floats of mixed sign and magnitude, a share of them from a pool
+    with signed zeros."""
+    pool = [0.0, -0.0, -0.0, 1.0, 0.1, -0.3]
+
+    def draw() -> float:
+        if rng.random() < pooled:
+            return rng.choice(pool)
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3)
+
+    return [draw() for _ in range(n)]
+
+
+def _same_floats(a, b) -> bool:
+    """Equal bit for bit, down to the sign of a zero."""
+    return len(a) == len(b) and all(x.hex() == y.hex() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_float_sums_are_ndarray_sums(k):
+    """The float sums reproduce `ndarray.sum` on a (2,)*k array: the full
+    sum, and the sum keeping each axis."""
+    rng = random.Random(k)
+    cases = [_float_mix(rng, 2**k, pooled) for pooled in (0.0, 0.2, 0.9, 1.0)]
+    for values in [*cases, [-0.0] * 2**k]:
+        array = np.array(values).reshape((2,) * k)
+        assert _same_floats([bndiag._full_sum(values)], [float(array.sum())])
+        for i in range(k):
+            others = tuple(j for j in range(k) if j != i)
+            assert _same_floats(bndiag._axis_sums(values, i), array.sum(axis=others).tolist())
+
+
+def test_pairwise_sum_of_any_length_is_numpy_sum():
+    """Lengths that are no power of two reach the leftover loops and the
+    split below a multiple of 8."""
+    rng = random.Random(0)
+    for n in [*range(1, 40), 127, 128, 129, 135, 257, 1000, 1031] * 4:
+        values = _float_mix(rng, n + 3)
+        assert _same_floats(
+            [0.0 + bndiag._pairwise_sum(values, 3, n)], [float(np.array(values[3:]).sum())]
+        )
+
+
+@st.composite
+def _conditioned_components(draw):
+    """Positive findings linked by 1 to 6 shared faults, each finding with
+    0 to 2 private parents, its parents in any order, and negative findings
+    on some faults. Priors and link
+    probabilities come from few values, and a finding may be repeated with
+    fresh private faults, so equal findings (one item with several stars)
+    and interchangeable shared faults are common."""
+    n_shared = draw(st.integers(1, 6))
+    n_findings = draw(st.integers(2, 5))
+    value = st.sampled_from([0.02, 0.3, 0.6, 0.9])
+    shared = [f"fault:physical:s{i}" for i in range(n_shared)]
+    blames = [[] for _ in range(n_findings)]
+    for fid in shared:  # blamed by two findings at least
+        for j in draw(st.lists(st.integers(0, n_findings - 1), min_size=2, unique=True)):
+            blames[j].append(fid)
+    priors = {fid: draw(value) for fid in shared}
+    cpts = {}
+    for j, blamed in enumerate(blames):
+        strengths = [draw(value) for _ in blamed]
+        n_private = draw(st.integers(0 if len(blamed) > 1 else 1, 2))
+        private = [(draw(value), draw(value)) for _ in range(n_private)]
+        leak = draw(st.sampled_from([0.0, 0.001]))
+        for copy in range(draw(st.integers(1, 2))):
+            own = {f"fault:service:f{j}c{copy}p{m}": pair for m, pair in enumerate(private)}
+            priors.update({fid: prior for fid, (prior, _) in own.items()})
+            parents = [*zip(blamed, strengths), *((fid, p) for fid, (_, p) in own.items())]
+            parents = draw(st.permutations(parents))
+            sid = f"symptom:service-down:f{j}c{copy}"
+            cpts[sid] = bndiag.NoisyOrCpt(
+                sid, tuple(fid for fid, _ in parents), tuple(p for _, p in parents), leak
+            )
+    # a negative finding folds its q into its fault's unary pair
+    for i, fid in enumerate(draw(st.lists(st.sampled_from(sorted(priors)), unique=True))):
+        sid = f"symptom:link-down:n{i}"
+        cpts[sid] = bndiag.NoisyOrCpt(sid, (fid,), (draw(value),), 0.001)
+    variables = [bndiag.BnVariable(id=fid, kind="fault", target=fid) for fid in sorted(priors)]
+    variables += [bndiag.BnVariable(id=sid, kind="symptom", target=sid) for sid in sorted(cpts)]
+    bn = bndiag.BayesNet(variables=tuple(variables), priors=priors, cpts=cpts)
+    return bn, {sid: sid.startswith("symptom:service-down:") for sid in cpts}
+
+
+def _conditioned_with(bn, evidence, max_float_shared):
+    """The posterior pairs, with the arrays of every conditioned component."""
+    used = []
+    real = bndiag._condition
+
+    def condition(*args):
+        used.append((len(args[4]), args[-1]))
+        return real(*args)
+
+    with mock.patch.object(bndiag, "MAX_FLOAT_SHARED_FAULTS", max_float_shared), \
+            mock.patch.object(bndiag, "_condition", condition):
+        return posterior_marginals(bn, evidence).pairs, used
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conditioned_components())
+def test_float_conditioning_equals_numpy_conditioning(component):
+    """Summed in Python floats or in numpy arrays, every component gives
+    equal pairs, in the same order."""
+    bn, evidence = component
+    by_numpy, used = _conditioned_with(bn, evidence, 0)
+    assert used and all(arrays is bndiag._NumpyArrays for _, arrays in used)
+    by_floats, used = _conditioned_with(bn, evidence, bndiag.MAX_SHARED_FAULTS)
+    assert used and all(arrays is bndiag._FloatArrays for _, arrays in used)
+    assert list(by_floats.items()) == list(by_numpy.items())
+
+
+@pytest.mark.parametrize("n_shared", [bndiag.MAX_FLOAT_SHARED_FAULTS,
+                                      bndiag.MAX_FLOAT_SHARED_FAULTS + 1,
+                                      bndiag.MAX_FLOAT_SHARED_FAULTS + 2])
+def test_floats_sum_only_components_up_to_the_cut(n_shared):
+    """A component of up to MAX_FLOAT_SHARED_FAULTS shared faults is summed
+    in floats, a wider one in numpy, and both give numpy's pairs."""
+    bn, evidence = _findings_sharing_parents(n_shared)
+    pairs, used = _conditioned_with(bn, evidence, bndiag.MAX_FLOAT_SHARED_FAULTS)
+    wide = n_shared > bndiag.MAX_FLOAT_SHARED_FAULTS
+    assert used == [(n_shared, bndiag._NumpyArrays if wide else bndiag._FloatArrays)]
+    assert pairs == _conditioned_with(bn, evidence, 0)[0]
 
 
 def _overlapping_incident(topo, bn, faults):

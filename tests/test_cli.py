@@ -1,7 +1,11 @@
 import ast
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -460,6 +464,21 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
                 {"priors": {"physical-failure": "0.01"}},
             )
         ),
+        # numbers are finite: NaN passes every range check, and an integer
+        # too large for a float overflows when converted
+        *(
+            ({"x.scenario.json": _scenario_doc(noise={
+                "mode": "stochastic", "alarm-loss-probability": 0.0,
+                "spurious-alarm-rate": 0.0, key: value,
+            })}, ["run", "x.scenario.json"])
+            for key in ("spurious-alarm-rate", "alarm-loss-probability")
+            for value in (float("nan"), float("inf"), float("-inf"), 10**400)
+        ),
+        *(
+            ({"p.json": doc}, ["run", SCENARIO, "--params", "p.json"])
+            for value in (float("nan"), float("inf"), float("-inf"), 10**400)
+            for doc in ({"leak": value}, {"priors": {"physical-failure": value}})
+        ),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
@@ -522,3 +541,73 @@ def test_only_cli_reads_and_decodes_documents():
         if isinstance(node, ast.Call) and _reads_input(node)
     ]
     assert readers == []
+
+
+# A fresh interpreter with the package on its path: argv[1] is the data
+# directory and argv[2] a scratch directory.
+_FRESH_ENV = {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+_CLI_WITHOUT_NUMPY = """
+import json, sys
+from pathlib import Path
+import sdnheal.cli, sdnheal.healloop
+if "numpy" in sys.modules:
+    sys.exit("numpy imported with the package")
+data, work = Path(sys.argv[1]), Path(sys.argv[2])
+topology, network, evidence = data / "t1.topology.json", work / "bn.json", work / "e.json"
+evidence.write_text(json.dumps({"symptom:link-down:l1": True}))
+runs = [
+    ["validate", topology],
+    ["build-bn", topology, "--out", network],
+    ["diagnose", network, "--evidence", evidence],
+    *(["run", scenario, "--policy", policy, "--out", work / "report.json"]
+      for scenario in sorted(data.glob("*.scenario.json"))
+      for policy in ("closed-world", "open-world")),
+    ["batch", data, "--out", work / "batch.json"],
+]
+for argv in runs:
+    argv = [str(arg) for arg in argv]
+    if sdnheal.cli.main(argv) != 0 or "numpy" in sys.modules:
+        sys.exit(f"{argv} failed or imported numpy")
+"""
+
+
+def _fresh(script: str, tmp_path) -> subprocess.CompletedProcess:
+    env = {**os.environ, **_FRESH_ENV}
+    done = subprocess.run([sys.executable, "-c", script, str(DATA_DIR), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_the_command_line_runs_without_numpy(tmp_path):
+    """Importing the command line and the loop, and every verb on the T1
+    fixtures, leave numpy unimported: none of them meets a component of
+    more than four shared faults."""
+    _fresh(_CLI_WITHOUT_NUMPY, tmp_path)
+
+
+def test_a_wide_component_imports_numpy_and_gives_its_pairs(tmp_path):
+    """T1's service-down and SLA findings share eight faults: above
+    MAX_FLOAT_SHARED_FAULTS, so the call imports numpy, and `diagnose`
+    prints the marginals that conditioning in numpy arrays gives."""
+    evidence = {"symptom:service-down:v1": True, "symptom:sla-violation:v1": True}
+    script = """
+import json, sys
+from pathlib import Path
+import sdnheal.cli
+work = Path(sys.argv[2])
+argv = ["build-bn", str(Path(sys.argv[1]) / "t1.topology.json"), "--out", str(work / "bn.json")]
+if sdnheal.cli.main(argv) != 0 or "numpy" in sys.modules:
+    sys.exit("build-bn failed or imported numpy")
+(work / "e.json").write_text(json.dumps(%r))
+argv = ["diagnose", str(work / "bn.json"), "--evidence", str(work / "e.json")]
+if sdnheal.cli.main(argv) != 0 or "numpy" not in sys.modules:
+    sys.exit("diagnose failed or left numpy unimported")
+""" % evidence
+    printed = json.loads(_fresh(script, tmp_path).stdout)["posterior"]
+    topology = json.loads((DATA_DIR / "t1.topology.json").read_text())
+    bn = bndiag.build_bn(netmodel.load_topology(topology))
+    with mock.patch.object(bndiag, "MAX_FLOAT_SHARED_FAULTS", 0):
+        by_numpy = bndiag.posterior_marginals(bn, evidence).marginals
+    assert printed == dict(sorted(by_numpy.items()))
