@@ -57,12 +57,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from .docread import Reader
 from .netmodel import NodeKind, Topology
 from .taxonomy import FaultClass, Symptom, effects, symptom_vocabulary
 
@@ -157,6 +158,10 @@ class BayesNet:
         return CompiledNet(self)
 
 
+# fault class name -> its prior's BnParams field
+_PRIOR_FIELDS = {fc.value: f"prior_{tag}" for fc, tag in _FAULT_TAG.items()}
+
+
 @dataclass(frozen=True)
 class BnParams:
     """Network parameters. All values are artifact defaults, not measured."""
@@ -174,10 +179,7 @@ class BnParams:
     include_hosts: bool = False
 
     def __post_init__(self) -> None:
-        for name in (
-            "prior_physical", "prior_agent", "prior_service",
-            "prior_controller", "prior_drop",
-        ):
+        for name in _PRIOR_FIELDS.values():
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise BnError(f"{name.replace('_', '-')} must be in (0,1): {value}")
@@ -189,61 +191,30 @@ class BnParams:
             raise BnError(f"threshold must be in (0,1): {self.threshold}")
 
 
-_PARAM_KEYS = {
-    "p-direct": "p_direct",
-    "p-indirect": "p_indirect",
-    "leak": "leak",
-    "include-hosts": "include_hosts",
-}
-_PRIOR_KEYS = {
-    FaultClass.PHYSICAL_FAILURE.value: "prior_physical",
-    FaultClass.OPENFLOW_AGENT_CRASH.value: "prior_agent",
-    FaultClass.SERVICE_FAULT.value: "prior_service",
-    FaultClass.CONTROLLER_CRASH.value: "prior_controller",
-    FaultClass.INTERFACE_TRAFFIC_DROP.value: "prior_drop",
-}
+_NUMBER_KEYS = ("p-direct", "p-indirect", "leak")
+# the keys of a parameter document; a threshold is rejected with its own error
+_PARAM_KEYS = frozenset({*_NUMBER_KEYS, "priors", "include-hosts", "threshold"})
+_read = Reader(BnError)
 
 
-def params_from_dict(doc: dict | None) -> BnParams:
+def params_from_dict(doc: dict) -> BnParams:
     """Apply a parameter override document on top of the defaults."""
-    if not doc:
-        return BnParams()
-    kwargs = {}
-    for key, value in doc.items():
-        if key == "priors":
-            for cls_name, p in value.items():
-                if cls_name not in _PRIOR_KEYS:
-                    raise BnError(f"unknown fault class in priors: {cls_name}")
-                kwargs[_PRIOR_KEYS[cls_name]] = _number(p, f"prior of {cls_name}")
-        elif key == "threshold":
-            raise BnError(
-                "threshold is not a network parameter; the loop's diagnosis "
-                "threshold is set with --threshold"
-            )
-        elif key in _PARAM_KEYS:
-            field = _PARAM_KEYS[key]
-            if field != "include_hosts":
-                value = _number(value, key)
-            elif not isinstance(value, bool):
-                raise BnError(f"include-hosts must be true or false: {value!r}")
-            kwargs[field] = value
-        else:
-            raise BnError(f"unknown parameter key: {key}")
-    return replace(BnParams(), **kwargs)
-
-
-def _number(value, what: str) -> float:
-    # a bool is an int to Python, float() would parse a string and overflows
-    # on a large integer, and NaN passes every range check
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BnError(f"{what} must be a number: {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise BnError(f"{what} must be a finite number: {value!r}")
-    return number
+    doc = _read.object(doc, "parameter", _PARAM_KEYS)
+    if "threshold" in doc:
+        raise BnError(
+            "threshold is not a network parameter; the loop's diagnosis "
+            "threshold is set with --threshold"
+        )
+    kwargs = {
+        key.replace("-", "_"): _read.number(doc[key], key)
+        for key in _NUMBER_KEYS if key in doc
+    }
+    if "include-hosts" in doc:
+        kwargs["include_hosts"] = _read.boolean(doc["include-hosts"], "include-hosts")
+    priors = _read.object(doc.get("priors", {}), "priors", _PRIOR_FIELDS.keys())
+    for name, p in priors.items():
+        kwargs[_PRIOR_FIELDS[name]] = _read.number(p, f"prior of {name}")
+    return BnParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,16 +1058,10 @@ def bn_to_dict(bn: BayesNet) -> dict:
     return {
         "schema-version": 1,
         "variables": [
-            {
-                "id": v.id,
-                "kind": v.kind,
-                "target": v.target,
-                **(
-                    {"fault-class": v.fault_class.value}
-                    if v.fault_class
-                    else {"symptom": v.symptom.value}
-                ),
-            }
+            {"id": v.id, "kind": v.kind, "target": v.target, **(
+                {"fault-class": v.fault_class.value} if v.fault_class
+                else {"symptom": v.symptom.value}
+            )}
             for v in bn.variables
         ],
         "priors": dict(sorted(bn.priors.items())),
@@ -1112,36 +1077,43 @@ def bn_to_dict(bn: BayesNet) -> dict:
     }
 
 
+_NETWORK_KEYS = frozenset({"schema-version", "variables", "priors", "cpts"})
+_VARIABLE_KEYS = frozenset({"id", "kind", "target", "fault-class", "symptom"})
+_CPT_KEYS = frozenset({"child", "parents", "link-probabilities", "leak"})
+
+
 def bn_from_dict(doc: dict) -> BayesNet:
-    if doc.get("schema-version", 1) != 1:
-        raise BnError(f"unsupported schema-version: {doc.get('schema-version')}")
-    variables = []
-    for entry in doc["variables"]:
-        variables.append(
-            BnVariable(
-                id=entry["id"],
-                kind=entry["kind"],
-                target=entry["target"],
-                fault_class=(
-                    FaultClass(entry["fault-class"]) if "fault-class" in entry else None
-                ),
-                symptom=Symptom(entry["symptom"]) if "symptom" in entry else None,
-            )
+    doc = _read.versioned(doc, "network", _NETWORK_KEYS)
+    variables = [
+        BnVariable(
+            _read.string(entry.get("id"), "variable id"),
+            _read.string(entry.get("kind"), "variable kind"),
+            _read.string(entry.get("target"), "variable target"),
+            _read.member(FaultClass, entry["fault-class"], "unknown fault class")
+            if "fault-class" in entry else None,
+            _read.member(Symptom, entry["symptom"], "unknown symptom")
+            if "symptom" in entry else None,
         )
-    variables.sort(key=lambda v: (v.kind, v.id))
+        for entry in _read.objects(doc.get("variables"), "variable", _VARIABLE_KEYS)
+    ]
     cpts = {}
-    for entry in doc["cpts"]:
-        if entry["child"] in cpts:
-            raise BnError(f"more than one CPT for {entry['child']}")
-        cpts[entry["child"]] = NoisyOrCpt(
-            child=entry["child"],
-            parents=tuple(entry["parents"]),
-            link_probabilities=tuple(float(p) for p in entry["link-probabilities"]),
-            leak=float(entry["leak"]),
+    for entry in _read.objects(doc.get("cpts"), "CPT", _CPT_KEYS):
+        probabilities = _read.items(entry.get("link-probabilities"), "link-probabilities")
+        cpt = NoisyOrCpt(
+            _read.string(entry.get("child"), "CPT child"),
+            _read.strings(entry.get("parents"), "parents"),
+            tuple([_read.number(p, "link probability") for p in probabilities]),
+            _read.number(entry.get("leak"), "leak"),
         )
+        if cpt.child in cpts:
+            raise BnError(f"more than one CPT for {cpt.child}")
+        cpts[cpt.child] = cpt
+    # a prior of anything but a fault variable is an unknown key
+    fault_ids = {v.id for v in variables if v.kind == "fault"}
+    priors = _read.object(doc.get("priors"), "priors", fault_ids)
     bn = BayesNet(
-        variables=tuple(variables),
-        priors={k: float(v) for k, v in doc["priors"].items()},
+        variables=tuple(sorted(variables, key=lambda v: (v.kind, v.id))),
+        priors={fid: _read.number(p, f"prior of {fid}") for fid, p in priors.items()},
         cpts=cpts,
     )
     _check_structure(bn)

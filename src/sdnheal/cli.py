@@ -25,6 +25,7 @@ from typing import Callable, TypeVar
 
 from . import bndiag, healloop, netmodel, recover, simkernel
 from .alarmpipe import EvidencePolicy
+from .docread import Reader
 
 T = TypeVar("T")
 
@@ -52,9 +53,13 @@ def _load(path: str | Path, what: str, parse: Callable[[object], T]) -> T:
         ) from exc
 
 
-def _evidence_map(doc) -> dict[str, bool]:
-    if not isinstance(doc, dict) or not all(isinstance(v, bool) for v in doc.values()):
-        raise bndiag.BnError("evidence document must map symptom ids to booleans")
+_read = Reader(_InputError)
+
+
+def _evidence_map(bn: bndiag.BayesNet, doc) -> dict[str, bool]:
+    """Symptom variable ids of `bn` to booleans."""
+    for symptom_id, value in _read.object(doc, "evidence", bn.compiled.symptoms).items():
+        _read.boolean(value, symptom_id)
     return doc
 
 
@@ -130,11 +135,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
     if not 0.0 < args.threshold < 1.0:
         raise _InputError(f"threshold must be in (0,1): {args.threshold}")
     bn = _load(args.network, "network document", bndiag.bn_from_dict)
-    evidence = _load(args.evidence, "evidence document", _evidence_map)
-    symptoms = set(bn.symptom_ids)
-    for key in evidence:
-        if key not in symptoms:
-            raise _InputError(f"evidence key is not a symptom variable: {key}")
+    evidence = _load(args.evidence, "evidence document", functools.partial(_evidence_map, bn))
     posterior = bndiag.posterior_marginals(bn, evidence)
     diagnosis = bndiag.map_diagnosis(posterior, args.threshold, bn.priors)
     doc = {

@@ -306,22 +306,14 @@ def _ground_truth(
     state: SimState, scenario: Scenario, at_tick: int
 ) -> tuple[FaultEvent, ...]:
     """Scenario faults currently active, for the report writer only."""
-    events = []
-    for target, fault_class in state.active_faults:
-        scheduled = [
-            f.at_tick
-            for f in scenario.faults
-            if f.target == target
-            and f.fault_class is fault_class
-            and f.at_tick <= at_tick
-        ]
-        events.append(
-            FaultEvent(
-                target=target,
-                fault_class=fault_class,
-                at_tick=max(scheduled) if scheduled else 0,
-            )
-        )
+    events = [
+        FaultEvent(target, fault_class, max(
+            (f.at_tick for f in scenario.faults
+             if f.target == target and f.fault_class is fault_class and f.at_tick <= at_tick),
+            default=0,
+        ))
+        for target, fault_class in state.active_faults
+    ]
     return tuple(sorted(events, key=lambda f: (f.at_tick, f.target, f.fault_class.value)))
 
 
@@ -353,28 +345,19 @@ def _mean(values: list) -> float | None:
 
 def compute_metrics(records: list[IncidentRecord], alarm_log: list[Alarm]) -> dict:
     """Derive run metrics; recomputable from the report content alone."""
-    n = len(records)
-    metrics = {
-        "incidents": n,
+    return {
+        "incidents": len(records),
         "recovered-incidents": sum(1 for r in records if r.recovered),
-        "map-accuracy": None,
-        "top3-accuracy": None,
-        "mean-detection-latency": None,
-        "mean-diagnosis-latency": None,
-        "mean-recovery-latency": None,
+        "map-accuracy": _mean([map_hit(r) for r in records]),
+        "top3-accuracy": _mean([top3_hit(r) for r in records]),
+        "mean-detection-latency": _mean([r.detection_latency for r in records]),
+        "mean-diagnosis-latency": _mean([r.diagnosis_latency for r in records]),
+        "mean-recovery-latency": _mean([r.recovery_latency for r in records]),
         "alarm-counts": {
             "translated": len(alarm_log),
             "windowed": sum(len(r.alarms) for r in records),
         },
     }
-    if n == 0:
-        return metrics
-    metrics["map-accuracy"] = sum(1 for r in records if map_hit(r)) / n
-    metrics["top3-accuracy"] = sum(1 for r in records if top3_hit(r)) / n
-    metrics["mean-detection-latency"] = _mean([r.detection_latency for r in records])
-    metrics["mean-diagnosis-latency"] = _mean([r.diagnosis_latency for r in records])
-    metrics["mean-recovery-latency"] = _mean([r.recovery_latency for r in records])
-    return metrics
 
 
 def batch_metrics(reports: list[RunReport]) -> dict:
@@ -396,11 +379,7 @@ def batch_metrics(reports: list[RunReport]) -> dict:
             "top3-accuracy": sum(1 for r in group if top3_hit(r)) / len(group),
             "recovered-incidents": sum(1 for r in group if r.recovered),
         }
-    return {
-        "reports": len(reports),
-        "pooled": pooled,
-        "per-fault-class": breakdown,
-    }
+    return {"reports": len(reports), "pooled": pooled, "per-fault-class": breakdown}
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +535,12 @@ def settings_echo(settings: BnParams | LoopConfig) -> dict:
     A field whose value differs from the built-in default is flagged
     `override`; one equal to it reads `default`, however it was given.
     """
-    defaults = type(settings)()
     echo = {}
     for f in fields(settings):
         value = getattr(settings, f.name)
         echo[f.name.replace("_", "-")] = {
             "value": value.value if isinstance(value, Enum) else value,
-            "source": "default" if value == getattr(defaults, f.name) else "override",
+            "source": "default" if value == f.default else "override",
         }
     return echo
 

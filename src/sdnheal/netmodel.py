@@ -8,7 +8,8 @@ It describes structure only: what is broken is the simulator's record
 `state`. All values are immutable; every operation returns a new value.
 
 The JSON document format (schema-version 1) carries each entry's fields
-verbatim; a `state`, when present, must be "up":
+verbatim, read as `docread` types them; a `state`, when present, must be
+"up":
 
     {"schema-version": 1,
      "nodes":    [{"id": "c0", "kind": "controller", "state": "up"}, ...],
@@ -18,8 +19,8 @@ verbatim; a `state`, when present, must be "up":
                    "path": ["h1", "la", "s1", "l1", "s2", "lb", "h2"],
                    "state": "up"}, ...]}
 
-`management` must be a JSON boolean. Keys the model does not hold, such
-as a service's `kind` or `clients`, are ignored.
+Keys the model does not hold, such as a service's `kind` or `clients`,
+are ignored.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
-SCHEMA_VERSION = 1
-
+from .docread import Reader
 
 class TopologyError(ValueError):
     """Raised when a topology document cannot be parsed or validated."""
+
+
+_read = Reader(TopologyError)
 
 
 class NodeKind(str, Enum):
@@ -178,66 +181,41 @@ def component_category(t: Topology, cid: str) -> str | None:
     return None
 
 
-def _parse_enum(enum_cls, raw, what: str):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        valid = ", ".join(e.value for e in enum_cls)
-        raise TopologyError(f"invalid {what} {raw!r} (expected one of: {valid})")
-
-
-def _require_up(entry: dict, what: str) -> None:
-    # nothing reads a component's state, so a document may not claim another
-    state = entry.get("state", "up")
-    if state != "up":
-        raise TopologyError(f"invalid {what} state {state!r} (expected: up)")
-
-
 def load_topology(doc: dict) -> Topology:
     """Parse and validate a decoded topology document.
 
     Decoding JSON text is the caller's job (`cli` reads every file).
     """
-    if not isinstance(doc, dict):
-        raise TopologyError("topology document must be a JSON object")
-    version = doc.get("schema-version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise TopologyError(f"unsupported schema-version: {version}")
-
-    nodes = []
-    for entry in doc.get("nodes", []):
-        _require_up(entry, "node")
-        nodes.append(
-            NetworkNode(
-                id=str(entry["id"]),
-                kind=_parse_enum(NodeKind, entry.get("kind"), "node kind"),
-            )
+    doc = _read.versioned(doc, "topology document")
+    for key, what in (("nodes", "node"), ("links", "link"), ("services", "service")):
+        # nothing reads a component's state, so an entry may not claim another
+        for entry in _read.objects(doc.get(key, []), what):
+            if entry.get("state", "up") != "up":
+                raise TopologyError(f"invalid {what} state {entry['state']!r} (expected: up)")
+    nodes = [
+        NetworkNode(
+            _read.string(entry.get("id"), "node id"),
+            _read.member(NodeKind, entry.get("kind"), "invalid node kind"),
         )
+        for entry in doc.get("nodes", [])
+    ]
     links = []
     for entry in doc.get("links", []):
-        _require_up(entry, "link")
-        endpoints = entry.get("endpoints", [])
-        if len(endpoints) != 2:
-            raise TopologyError(f"link {entry.get('id')!r} needs exactly 2 endpoints")
-        management = entry.get("management", False)
-        if not isinstance(management, bool):  # bool("false") is True
-            raise TopologyError(f"link {entry.get('id')!r} management not a boolean")
-        links.append(
-            Link(
-                id=str(entry["id"]),
-                endpoints=(str(endpoints[0]), str(endpoints[1])),
-                management=management,
-            )
+        link = Link(
+            _read.string(entry.get("id"), "link id"),
+            _read.strings(entry.get("endpoints"), "endpoints"),
+            management=_read.boolean(entry.get("management", False), "management"),
         )
-    services = []
-    for entry in doc.get("services", []):
-        _require_up(entry, "service")
-        services.append(
-            Service(
-                id=str(entry["id"]),
-                path=tuple(str(p) for p in entry.get("path", [])),
-            )
+        if len(link.endpoints) != 2:
+            raise TopologyError(f"link {link.id!r} needs exactly 2 endpoints")
+        links.append(link)
+    services = [
+        Service(
+            _read.string(entry.get("id"), "service id"),
+            _read.strings(entry.get("path", []), "path"),
         )
+        for entry in doc.get("services", [])
+    ]
 
     topology = Topology(nodes=tuple(nodes), links=tuple(links), services=tuple(services))
     violations = validate_topology(topology)
@@ -290,31 +268,25 @@ def validate_topology(t: Topology) -> list[str]:
 def _validate_path(
     t: Topology, s: Service, node_ids: set[str], link_ids: set[str]
 ) -> list[str]:
-    violations = []
-    for hop in s.path:
+    path = s.path
+    for hop in path:
         if hop not in node_ids and hop not in link_ids:
-            violations.append(f"dangling reference: service {s.id} path member {hop}")
-            return violations
-    if not s.path:
-        violations.append(f"empty path: {s.id}")
-        return violations
-    if len(s.path) % 2 == 0:
-        violations.append(f"path not a connected walk: {s.id}")
-        return violations
-    for i, hop in enumerate(s.path):
-        expected = node_ids if i % 2 == 0 else link_ids
-        if hop not in expected:
-            violations.append(f"path not a connected walk: {s.id}")
-            return violations
-    for i in range(1, len(s.path), 2):
-        link = t.link(s.path[i])
-        if set(link.endpoints) != {s.path[i - 1], s.path[i + 1]}:
-            violations.append(f"path not a connected walk: {s.id}")
-            return violations
-    for end in (s.path[0], s.path[-1]):
-        if t.node(end).kind is not NodeKind.HOST:
-            violations.append(f"path endpoint not a host: {s.id}/{end}")
-    return violations
+            return [f"dangling reference: service {s.id} path member {hop}"]
+    if not path:
+        return [f"empty path: {s.id}"]
+    # nodes at even positions, and each link between the nodes it joins
+    if len(path) % 2 == 0 or any(
+        hop not in (node_ids if i % 2 == 0 else link_ids) for i, hop in enumerate(path)
+    ) or any(
+        set(t.link(path[i]).endpoints) != {path[i - 1], path[i + 1]}
+        for i in range(1, len(path), 2)
+    ):
+        return [f"path not a connected walk: {s.id}"]
+    return [
+        f"path endpoint not a host: {s.id}/{end}"
+        for end in (path[0], path[-1])
+        if t.node(end).kind is not NodeKind.HOST
+    ]
 
 
 def _validate_connectivity(t: Topology) -> list[str]:
@@ -387,21 +359,21 @@ def find_path(
     return walk[::-1]
 
 
+# component category -> the Topology field that holds it, and its states
+_STATES = {"node": ("nodes", NodeState), "link": ("links", LinkState),
+           "service": ("services", ServiceState)}
+
+
 def set_component_state(t: Topology, cid: str, state: str) -> Topology:
     """Return a topology identical to t except for one component's state."""
     category = component_category(t, cid)
     if category is None:
         raise TopologyError(f"unknown component: {cid}")
-    if category == "node":
-        new = replace(t.node(cid), state=_parse_enum(NodeState, state, "node state"))
-        return replace(t, nodes=tuple(new if n.id == cid else n for n in t.nodes))
-    if category == "link":
-        new = replace(t.link(cid), state=_parse_enum(LinkState, state, "link state"))
-        return replace(t, links=tuple(new if l.id == cid else l for l in t.links))
-    new = replace(
-        t.service(cid), state=_parse_enum(ServiceState, state, "service state")
-    )
-    return replace(t, services=tuple(new if s.id == cid else s for s in t.services))
+    field, kind = _STATES[category]
+    new = _read.member(kind, state, f"invalid {category} state")
+    return replace(t, **{field: tuple(
+        replace(c, state=new) if c.id == cid else c for c in getattr(t, field)
+    )})
 
 
 def replace_service_path(t: Topology, service_id: str, path: tuple[str, ...]) -> Topology:

@@ -9,12 +9,14 @@ checked by polling the affected services until they read up.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Protocol
 
 from . import bndiag
 from .bndiag import Diagnosis, Verdict
+from .docread import Reader
 from .netmodel import ServiceState, Topology
 from .taxonomy import FaultClass
 
@@ -113,12 +115,13 @@ def _check_entry(fc: FaultClass, templates: tuple[ActionTemplate, ...]) -> None:
             )
 
 
+@functools.cache
 def default_strategy_table() -> StrategyTable:
     """Built-in fault-class to action mapping (overridable via document).
 
     Outages of shared infrastructure reroute every dependent service and
     fall back to a repair ticket; the control-plane and service faults map
-    to their dedicated restart/failover action.
+    to their dedicated restart/failover action. Built once per process.
     """
     reroute_then_ticket = (
         ActionTemplate(ActionKind.REROUTE, scope="dependent-services"),
@@ -139,32 +142,26 @@ def default_strategy_table() -> StrategyTable:
     )
 
 
-def strategy_table_from_dict(doc: dict | None) -> StrategyTable:
+_TEMPLATE_KEYS = frozenset({"kind", "scope"})
+_read = Reader(PlanError)
+
+
+def strategy_table_from_dict(doc: dict) -> StrategyTable:
     """Merge a strategy override document over the default table.
 
     A template takes only `kind` and `scope`; any other key is a `PlanError`,
     and so is an entry whose plan could not run (see `_check_entry`).
     """
-    table = default_strategy_table()
-    if not doc:
-        return table
-    entries = dict(table.entries)
-    for class_name, templates in doc.items():
-        fc = FaultClass(class_name)
-        parsed = []
-        for tpl in templates:
-            unknown = sorted(tpl.keys() - {"kind", "scope"})
-            if unknown:
-                raise PlanError(
-                    f"unknown action template key for {class_name}: "
-                    f"{', '.join(unknown)} (a template takes only kind and scope)"
-                )
-            parsed.append(
-                ActionTemplate(
-                    kind=ActionKind(tpl["kind"]), scope=tpl.get("scope", "target")
-                )
+    entries = dict(default_strategy_table().entries)
+    for name, templates in _read.object(doc, "strategy").items():
+        fc = _read.member(FaultClass, name, "unknown fault class")
+        entries[fc] = tuple([
+            ActionTemplate(
+                _read.member(ActionKind, tpl.get("kind"), "unknown action kind"),
+                _read.string(tpl.get("scope", "target"), "scope"),
             )
-        entries[fc] = tuple(parsed)
+            for tpl in _read.objects(templates, "action template", _TEMPLATE_KEYS)
+        ])
         _check_entry(fc, entries[fc])
     return StrategyTable(entries=entries)
 

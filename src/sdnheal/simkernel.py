@@ -47,6 +47,7 @@ from functools import cached_property
 
 from . import netmodel, taxonomy
 from .alarmpipe import EVENT_OF_SYMPTOM, RawAlarm
+from .docread import Reader
 from .netmodel import ServiceState, Topology
 from .recover import (
     TARGET_CLASS, ActionKind, ActionOutcome, OutcomeStatus, RecoveryAction,
@@ -54,6 +55,7 @@ from .recover import (
 from .taxonomy import FaultClass, Symptom
 
 DEFAULT_REPAIR_DELAY = 5
+MAX_HORIZON = 10**6  # ticks; the loop steps every tick
 
 
 class SimError(ValueError):
@@ -207,72 +209,48 @@ def _successor(state: SimState, **changes) -> SimState:
     return new
 
 
+_SCENARIO_KEYS = frozenset(
+    {"schema-version", "topology", "faults", "noise", "seed", "horizon", "repair-delay"}
+)
+_FAULT_KEYS = frozenset({"target", "class", "at-tick"})
+_NOISE_KEYS = frozenset({"mode", "alarm-loss-probability", "spurious-alarm-rate"})
+_read = Reader(SimError)
+
+
 def load_scenario(doc: dict) -> Scenario:
     """Parse a decoded scenario document whose topology is an inline object.
 
     No file is read here: `cli` swaps a topology file reference for the
     document it decodes before calling this.
     """
-    if not isinstance(doc, dict):
-        raise SimError("scenario document must be a JSON object")
-    if doc.get("schema-version", 1) != 1:
-        raise SimError(f"unsupported schema-version: {doc.get('schema-version')}")
-    if not isinstance(doc.get("topology"), dict):
-        raise SimError("scenario needs a topology (inline object or file reference)")
-    topology = netmodel.load_topology(doc["topology"])
-
-    faults = []
-    for entry in doc.get("faults", []):
-        try:
-            fault_class = FaultClass(entry["class"])
-        except ValueError:
-            raise SimError(f"unknown fault class: {entry.get('class')}")
-        faults.append(
-            FaultEvent(
-                target=str(entry["target"]),
-                fault_class=fault_class,
-                at_tick=_number(entry, "at-tick", int),
-            )
+    doc = _read.versioned(doc, "scenario", _SCENARIO_KEYS)
+    faults = [
+        FaultEvent(
+            _read.string(entry.get("target"), "fault target"),
+            _read.member(FaultClass, entry.get("class"), "unknown fault class"),
+            _read.integer(entry.get("at-tick"), "at-tick"),
         )
-
-    noise_doc = doc.get("noise", {})
-    noise = NoiseConfig(
-        mode=NoiseMode(noise_doc.get("mode", "deterministic")),
-        alarm_loss_probability=_number(noise_doc, "alarm-loss-probability", float, 0.0),
-        spurious_alarm_rate=_number(noise_doc, "spurious-alarm-rate", float, 0.0),
-    )
+        for entry in _read.objects(doc.get("faults", []), "fault", _FAULT_KEYS)
+    ]
+    noise = _read.object(doc.get("noise", {}), "noise", _NOISE_KEYS)
+    mode = noise.get("mode", "deterministic")
     return Scenario(
-        topology=topology,
-        faults=tuple(faults),
-        noise=noise,
-        seed=_number(doc, "seed", int, 0),
-        horizon=_number(doc, "horizon", int, 100),
-        repair_delay=_number(doc, "repair-delay", int, DEFAULT_REPAIR_DELAY),
+        netmodel.load_topology(doc.get("topology")),
+        tuple(faults),
+        NoiseConfig(
+            _read.member(NoiseMode, mode, "unknown noise mode"),
+            _read.number(noise.get("alarm-loss-probability", 0.0), "alarm-loss-probability"),
+            _read.number(noise.get("spurious-alarm-rate", 0.0), "spurious-alarm-rate"),
+        ),
+        _read.integer(doc.get("seed", 0), "seed"),
+        _read.integer(doc.get("horizon", 100), "horizon"),
+        _read.integer(doc.get("repair-delay", DEFAULT_REPAIR_DELAY), "repair-delay"),
     )
-
-
-def _number(doc: dict, key: str, kind: type, default=None):
-    # a finite JSON number, and for int an integer: int() and float() would
-    # also take a bool or a string, int() would truncate, float() overflows
-    # on a large integer, and NaN passes every range check
-    value = doc[key] if default is None else doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        expected = "an integer" if kind is int else "a number"
-        raise SimError(f"{key} must be {expected}: {value!r}")
-    if kind is int:
-        return value
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if not math.isfinite(number):
-        raise SimError(f"{key} must be a finite number: {value!r}")
-    return number
 
 
 def _validate_scenario(s: Scenario) -> None:
-    if s.horizon < 1:
-        raise SimError(f"horizon must be at least 1 tick: {s.horizon}")
+    if not 1 <= s.horizon <= MAX_HORIZON:
+        raise SimError(f"horizon must be 1 to {MAX_HORIZON} ticks: {s.horizon}")
     if s.repair_delay < 1:
         raise SimError(f"repair-delay must be >= 1 tick: {s.repair_delay}")
     for fault in s.faults:

@@ -1,16 +1,24 @@
 import ast
+import contextlib
+import copy
+import io
 import json
+import operator
 import os
 import shutil
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdnheal import bndiag, cli, netmodel
+from sdnheal import bndiag, cli, netmodel, recover, simkernel
 from sdnheal.cli import main
+from sdnheal.taxonomy import FaultClass
 
 from conftest import DATA_DIR
 
@@ -306,6 +314,11 @@ def _two_fault_doc(cpt=None, variables=None, extra_cpt=False):
     return doc
 
 
+def _edited(doc, edit):
+    edit(doc)
+    return doc
+
+
 def _diagnose_case(network_doc, *flags):
     documents = {"bn.json": network_doc, "e.json": {"symptom:service-down:Y": True}}
     return documents, ["diagnose", "bn.json", "--evidence", "e.json", *flags]
@@ -479,6 +492,38 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
             for value in (float("nan"), float("inf"), float("-inf"), 10**400)
             for doc in ({"leak": value}, {"priors": {"physical-failure": value}})
         ),
+        # a network document's numbers are read as every document's are
+        *(
+            _diagnose_case(_two_fault_doc(cpt={"leak": value}))
+            for value in (10**400, float("nan"), float("inf"), float("-inf"), "0.001", True)
+        ),
+        _diagnose_case(_two_fault_doc(cpt={"link-probabilities": [0.9, "0.9"]})),
+        _diagnose_case(_two_fault_doc(cpt={"link-probabilities": True})),
+        # an unknown key is an error in every document but a topology
+        *(
+            ({"x.scenario.json": doc}, ["run", "x.scenario.json"])
+            for doc in (
+                _scenario_doc(horizn=3),
+                _scenario_doc(faults=[
+                    {"target": "l1", "class": "physical-failure", "at-tick": 2, "until": 5}
+                ]),
+                _scenario_doc(noise={"mode": "deterministic", "loss": 0.1}),
+            )
+        ),
+        _diagnose_case(dict(_two_fault_doc(), comment="two faults")),
+        _diagnose_case(_edited(_two_fault_doc(), lambda d: d["variables"][0].update(note=1))),
+        _diagnose_case(_two_fault_doc(cpt={"note": 1})),
+        _diagnose_case(_edited(_two_fault_doc(), lambda d: d["priors"].update(C=0.5))),
+        # ids are JSON strings and lists JSON arrays: str() and tuple()
+        # would read 7 as "7" and "ab" as the endpoints a and b
+        ({"t.json": _t1_doc_with("nodes", "c0", "id", 7)}, ["validate", "t.json"]),
+        ({"t.json": _t1_doc_with("links", "l1", "endpoints", "ab")}, ["validate", "t.json"]),
+        ({"x.scenario.json": _scenario_doc(faults=["l1"])}, ["run", "x.scenario.json"]),
+        # a run steps every tick up to its horizon
+        (
+            {"x.scenario.json": _scenario_doc(horizon=simkernel.MAX_HORIZON + 1)},
+            ["run", "x.scenario.json"],
+        ),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):
@@ -490,6 +535,127 @@ def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, arg
     monkeypatch.chdir(workdir)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _paths(doc, path=()):
+    """(path, value) of the document and of everything it holds."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, (*path, key))
+
+
+def _changes(doc) -> list[tuple[tuple, object]]:
+    """(path, value) pairs that each make one change the reader rejects: a
+    key no loader declares in any object, a bool, a numeric string, NaN,
+    ±Infinity or 10**400 for a number, a number or null for a boolean, and
+    an integer for a string."""
+    changes = []
+    for path, value in _paths(doc):
+        if isinstance(value, dict):
+            changes.append(((*path, "unknown-key"), 1))
+        elif isinstance(value, bool):
+            changes += [(path, other) for other in (0, 1, "true", None)]
+        elif isinstance(value, (int, float)):
+            changes += [(path, other) for other in (
+                True, False, str(value), float("nan"), float("inf"), float("-inf"), 10**400,
+            )]
+        elif isinstance(value, str):
+            changes.append((path, 7))
+    return changes
+
+
+def _changed(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    reduce(operator.getitem, parents, doc)[last] = value
+    return doc
+
+
+def _main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main([str(arg) for arg in argv])
+    return status, err.getvalue()
+
+
+def _t1_strategy_doc():
+    return {
+        fc.value: [{"kind": tpl.kind.value, "scope": tpl.scope} for tpl in templates]
+        for fc, templates in recover.default_strategy_table().entries.items()
+    }
+
+
+# Per document kind: a valid document, the file it is written to, and the
+# command that reads it from a directory holding T1 and `_two_fault_doc`.
+_VALID_DOCUMENTS = {
+    "scenario": (
+        _scenario_doc(noise={"mode": "stochastic", "alarm-loss-probability": 0.05,
+                             "spurious-alarm-rate": 0.01}, **{"repair-delay": 2}),
+        "x.scenario.json", ["run", "x.scenario.json"],
+    ),
+    "parameters": (
+        {"priors": {fc.value: 0.02 for fc in FaultClass}, "p-direct": 0.9,
+         "p-indirect": 0.7, "leak": 0.002, "include-hosts": False},
+        "p.json", ["run", SCENARIO, "--params", "p.json"],
+    ),
+    "strategy": (_t1_strategy_doc(), "s.json", ["run", SCENARIO, "--strategy", "s.json"]),
+    "network": (_two_fault_doc(), "bn.json", ["diagnose", "bn.json", "--evidence", "e.json"]),
+    "evidence": (
+        {"symptom:service-down:Y": True}, "e.json",
+        ["diagnose", "bn.json", "--evidence", "e.json"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def docdir(tmp_path_factory):
+    """T1's topology and scenario, and a valid network and evidence document."""
+    path = tmp_path_factory.mktemp("documents")
+    for name in ("t1.topology.json", SCENARIO):
+        shutil.copy(DATA_DIR / name, path / name)
+    for doc, name, _ in _VALID_DOCUMENTS.values():
+        (path / name).write_text(json.dumps(doc))
+    return path
+
+
+def _run_in(docdir, name, doc, argv) -> tuple[int, str]:
+    """Write `doc` to `name` and run `argv` on the directory's files."""
+    (docdir / name).write_text(json.dumps(doc))
+    return _main([docdir / arg if arg.endswith(".json") else arg for arg in argv])
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_DOCUMENTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_document_rejects_untyped_values_and_unknown_keys(docdir, kind, data):
+    """One change to a valid document of any kind but a topology is an input
+    error: exit 1 and a message that starts with `error:`."""
+    doc, name, argv = _VALID_DOCUMENTS[kind]
+    assert _run_in(docdir, name, doc, argv)[0] == 0
+    path, value = data.draw(st.sampled_from(_changes(doc)))
+    try:
+        status, err = _run_in(docdir, name, _changed(doc, path, value), argv)
+    finally:  # the network and evidence documents are read together
+        (docdir / name).write_text(json.dumps(doc))
+    assert status == 1 and err.startswith("error: "), (path, value, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_topology_fields_are_typed_but_unknown_keys_load(docdir, data):
+    """A topology's typed fields are read as in every other document, while
+    a key the model does not hold, at any level, is ignored: the benchmark's
+    generated topologies carry a service `kind` and `clients`."""
+    doc = json.loads((DATA_DIR / "t1.topology.json").read_text())
+    for service in doc["services"]:  # keys the model ignores, so any value loads
+        del service["kind"], service["clients"]
+    path, value = data.draw(st.sampled_from(_changes(doc)))
+    status, err = _run_in(docdir, "t.json", _changed(doc, path, value), ["validate", "t.json"])
+    if path[-1] == "unknown-key":
+        assert status == 0, (path, err)
+    else:
+        assert status == 1 and err.startswith("error: "), (path, value, err)
 
 
 def test_run_echoes_policy_flag_as_override(workdir):
