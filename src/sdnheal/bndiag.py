@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from operator import add, itemgetter, mul
@@ -65,6 +64,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .docread import Reader
 from .netmodel import NodeKind, Topology
+from .records import Frozen
 from .taxonomy import FaultClass, Symptom, effects, symptom_vocabulary
 
 if TYPE_CHECKING:
@@ -138,12 +138,13 @@ class NoisyOrCpt(NamedTuple):
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class BayesNet:
+class _BayesNet(NamedTuple):
     variables: tuple[BnVariable, ...]
     priors: dict[str, float]
     cpts: dict[str, NoisyOrCpt]
 
+
+class BayesNet(Frozen, _BayesNet):
     @cached_property
     def fault_ids(self) -> tuple[str, ...]:
         return tuple([v.id for v in self.variables if v.kind == "fault"])
@@ -162,10 +163,7 @@ class BayesNet:
 _PRIOR_FIELDS = {fc.value: f"prior_{tag}" for fc, tag in _FAULT_TAG.items()}
 
 
-@dataclass(frozen=True)
-class BnParams:
-    """Network parameters. All values are artifact defaults, not measured."""
-
+class _BnParams(NamedTuple):
     prior_physical: float = 0.01
     prior_agent: float = 0.02
     prior_service: float = 0.02
@@ -178,17 +176,25 @@ class BnParams:
     threshold: float = 0.5
     include_hosts: bool = False
 
-    def __post_init__(self) -> None:
+
+class BnParams(Frozen, _BnParams):
+    """Network parameters. All values are artifact defaults, not measured."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BnParams:
+        params = super().__new__(cls, *args, **kwargs)
         for name in _PRIOR_FIELDS.values():
-            value = getattr(self, name)
+            value = getattr(params, name)
             if not 0.0 < value < 1.0:
                 raise BnError(f"{name.replace('_', '-')} must be in (0,1): {value}")
         for name in ("p_direct", "p_indirect", "leak"):
-            value = getattr(self, name)
+            value = getattr(params, name)
             if not 0.0 <= value <= 1.0:
                 raise BnError(f"{name.replace('_', '-')} out of [0,1]: {value}")
-        if not 0.0 < self.threshold < 1.0:
-            raise BnError(f"threshold must be in (0,1): {self.threshold}")
+        if not 0.0 < params.threshold < 1.0:
+            raise BnError(f"threshold must be in (0,1): {params.threshold}")
+        return params
 
 
 _NUMBER_KEYS = ("p-direct", "p-indirect", "leak")
@@ -283,8 +289,7 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
 # Factors and exact inference
 
 
-@dataclass(frozen=True, eq=False)
-class Factor:
+class Factor(NamedTuple):
     """Table over binary variables; axis i indexes scope[i], 0=false 1=true.
 
     Entries may be negative: a positive finding's factors are signed.
@@ -293,14 +298,18 @@ class Factor:
     scope: tuple[str, ...]
     table: np.ndarray
 
+    # by identity: tuple equality would compare the tables element-wise
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
 
 def aux_var_id(symptom_id: str) -> str:
     """The auxiliary variable that factors a positive finding's CPT."""
     return f"aux:{symptom_id}"
 
 
-@dataclass(frozen=True)
-class Resting:
+class Resting(NamedTuple):
     """Posteriors of the faults that no observed finding touches."""
 
     # every fault, in id order; None where the pair has no mass
@@ -504,11 +513,12 @@ def min_fill_order(
     return order
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Per-fault (P(false|e), P(true|e)) pairs from one inference query set."""
-
+class _Posterior(NamedTuple):
     pairs: dict[str, tuple[float, float]]
+
+
+class Posterior(Frozen, _Posterior):
+    """Per-fault (P(false|e), P(true|e)) pairs from one inference query set."""
 
     def marginal(self, fault_id: str) -> float:
         return self.pairs[fault_id][1]
@@ -1021,8 +1031,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Diagnosis:
+class Diagnosis(NamedTuple):
     ranked: tuple[tuple[str, float], ...]
     verdict: Verdict
     threshold: float
@@ -1082,18 +1091,33 @@ _VARIABLE_KEYS = frozenset({"id", "kind", "target", "fault-class", "symptom"})
 _CPT_KEYS = frozenset({"child", "parents", "link-probabilities", "leak"})
 
 
+def _variable(entry: dict) -> BnVariable:
+    """A network document's variable. Inference and `parse_fault_var` read
+    only its id, so the id must be the one its other fields name."""
+    vid = _read.string(entry.get("id"), "variable id")
+    kind = _read.string(entry.get("kind"), "variable kind")
+    target = _read.string(entry.get("target"), "variable target")
+    if kind == "fault" and "fault-class" in entry and "symptom" not in entry:
+        fc = _read.member(FaultClass, entry["fault-class"], "unknown fault class")
+        variable, expected = BnVariable(vid, kind, target, fc), fault_var_id(fc, target)
+    elif kind == "symptom" and "symptom" in entry and "fault-class" not in entry:
+        symptom = _read.member(Symptom, entry["symptom"], "unknown symptom")
+        variable = BnVariable(vid, kind, target, None, symptom)
+        expected = symptom_var_id(symptom, target)
+    else:
+        raise BnError(
+            f"variable {vid} must be a fault with a fault-class "
+            "or a symptom with a symptom"
+        )
+    if vid != expected:
+        raise BnError(f"variable {vid} must have the id its fields name: {expected}")
+    return variable
+
+
 def bn_from_dict(doc: dict) -> BayesNet:
     doc = _read.versioned(doc, "network", _NETWORK_KEYS)
     variables = [
-        BnVariable(
-            _read.string(entry.get("id"), "variable id"),
-            _read.string(entry.get("kind"), "variable kind"),
-            _read.string(entry.get("target"), "variable target"),
-            _read.member(FaultClass, entry["fault-class"], "unknown fault class")
-            if "fault-class" in entry else None,
-            _read.member(Symptom, entry["symptom"], "unknown symptom")
-            if "symptom" in entry else None,
-        )
+        _variable(entry)
         for entry in _read.objects(doc.get("variables"), "variable", _VARIABLE_KEYS)
     ]
     cpts = {}

@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -81,7 +80,7 @@ def _load_scenario(path: Path, seed: int | None) -> tuple[str, simkernel.Scenari
 
     scenario = _load(path, "scenario", parse)
     if seed is not None:
-        scenario = replace(scenario, seed=seed)
+        scenario = scenario._replace(seed=seed)
     return _scenario_name(path), scenario
 
 
@@ -103,7 +102,7 @@ def _loop_settings(
     )
     try:
         config = healloop.LoopConfig(
-            **{f.name: getattr(args, f.name) for f in fields(healloop.LoopConfig)}
+            **{name: getattr(args, name) for name in healloop.LoopConfig._fields}
         )
     except healloop.LoopError as exc:
         raise _InputError(str(exc)) from exc
@@ -187,7 +186,7 @@ def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
         "--suggest-only", action="store_true",
         help="record plans without executing them",
     )
-    parser.set_defaults(**asdict(healloop.LoopConfig()))
+    parser.set_defaults(**healloop.LoopConfig()._asdict())
 
 
 @functools.cache

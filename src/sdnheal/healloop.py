@@ -25,14 +25,15 @@ was built for (`_Diagnoser`); a rebuilt network starts an empty one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import alarmpipe, bndiag, netmodel, recover, simkernel
 from .alarmpipe import Alarm, EvidencePolicy
 from .bndiag import BayesNet, BnParams, Diagnosis, EvidenceMap, Posterior, Verdict
 from .netmodel import ServiceState
+from .records import Frozen
 from .recover import ActionOutcome, RecoveryAction, StrategyTable
 from .simkernel import FaultEvent, Scenario, SimState
 from .taxonomy import Symptom
@@ -44,8 +45,7 @@ class LoopError(ValueError):
     """Invalid loop configuration."""
 
 
-@dataclass(frozen=True)
-class LoopConfig:
+class _LoopConfig(NamedTuple):
     evidence_window: int = 1
     threshold: float = 0.5
     verify_timeout: int = 3
@@ -53,19 +53,24 @@ class LoopConfig:
     max_widenings: int = 2
     suggest_only: bool = False
 
-    def __post_init__(self) -> None:
-        if self.evidence_window < 1:
-            raise LoopError(f"evidence-window must be >= 1: {self.evidence_window}")
-        if self.verify_timeout < 1:
-            raise LoopError(f"verify-timeout must be >= 1: {self.verify_timeout}")
-        if self.max_widenings < 0:
-            raise LoopError(f"max-widenings must be >= 0: {self.max_widenings}")
-        if not 0.0 < self.threshold < 1.0:
-            raise LoopError(f"threshold must be in (0,1): {self.threshold}")
+
+class LoopConfig(Frozen, _LoopConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> LoopConfig:
+        config = super().__new__(cls, *args, **kwargs)
+        if config.evidence_window < 1:
+            raise LoopError(f"evidence-window must be >= 1: {config.evidence_window}")
+        if config.verify_timeout < 1:
+            raise LoopError(f"verify-timeout must be >= 1: {config.verify_timeout}")
+        if config.max_widenings < 0:
+            raise LoopError(f"max-widenings must be >= 0: {config.max_widenings}")
+        if not 0.0 < config.threshold < 1.0:
+            raise LoopError(f"threshold must be in (0,1): {config.threshold}")
+        return config
 
 
-@dataclass(frozen=True)
-class IncidentRecord:
+class _IncidentRecord(NamedTuple):
     detected_at: int
     diagnosed_at: int
     injected_faults: tuple[FaultEvent, ...]
@@ -81,13 +86,18 @@ class IncidentRecord:
     diagnosis_latency: int
     recovery_latency: int | None
 
-    def __post_init__(self) -> None:
-        if self.recovered and self.recovery_latency is None:
+
+class IncidentRecord(Frozen, _IncidentRecord):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> IncidentRecord:
+        record = super().__new__(cls, *args, **kwargs)
+        if record.recovered and record.recovery_latency is None:
             raise LoopError("recovered incident must carry a recovery latency")
+        return record
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     scenario_name: str
     seed: int
     horizon: int
@@ -536,11 +546,10 @@ def settings_echo(settings: BnParams | LoopConfig) -> dict:
     `override`; one equal to it reads `default`, however it was given.
     """
     echo = {}
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        echo[f.name.replace("_", "-")] = {
+    for name, value in zip(settings._fields, settings):
+        echo[name.replace("_", "-")] = {
             "value": value.value if isinstance(value, Enum) else value,
-            "source": "default" if value == f.default else "override",
+            "source": "default" if value == settings._field_defaults[name] else "override",
         }
     return echo
 

@@ -26,11 +26,12 @@ are ignored.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .docread import Reader
+from .records import Frozen
 
 class TopologyError(ValueError):
     """Raised when a topology document cannot be parsed or validated."""
@@ -64,46 +65,49 @@ class ServiceState(str, Enum):
     DOWN = "down"
 
 
-@dataclass(frozen=True)
-class NetworkNode:
+class NetworkNode(NamedTuple):
     id: str
     kind: NodeKind
     state: NodeState = NodeState.UP
 
 
-@dataclass(frozen=True)
-class Link:
-    """Bidirectional link; `management` marks out-of-band control links."""
-
+class _Link(NamedTuple):
     id: str
     endpoints: tuple[str, str]
     state: LinkState = LinkState.UP
     management: bool = False
 
-    def __post_init__(self) -> None:
+
+class Link(Frozen, _Link):
+    """Bidirectional link; `management` marks out-of-band control links."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Link:
         # Endpoints are an unordered pair; normalize for stable equality.
-        object.__setattr__(self, "endpoints", tuple(sorted(self.endpoints)))
+        link = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, (link.id, tuple(sorted(link.endpoints)), *link[2:]))
 
 
-@dataclass(frozen=True)
-class Service:
+class Service(NamedTuple):
     id: str
     path: tuple[str, ...]
     state: ServiceState = ServiceState.UP
 
 
-@dataclass(frozen=True)
-class Topology:
+class _Topology(NamedTuple):
     nodes: tuple[NetworkNode, ...]
     links: tuple[Link, ...]
     services: tuple[Service, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda x: x.id)))
-        object.__setattr__(self, "links", tuple(sorted(self.links, key=lambda x: x.id)))
-        object.__setattr__(
-            self, "services", tuple(sorted(self.services, key=lambda x: x.id))
-        )
+
+def _by_id(records) -> tuple:
+    return tuple(sorted(records, key=lambda x: x.id))
+
+
+class Topology(Frozen, _Topology):
+    def __new__(cls, nodes, links, services) -> Topology:
+        return super().__new__(cls, _by_id(nodes), _by_id(links), _by_id(services))
 
     @cached_property
     def _nodes_by_id(self) -> dict[str, NetworkNode]:
@@ -371,8 +375,8 @@ def set_component_state(t: Topology, cid: str, state: str) -> Topology:
         raise TopologyError(f"unknown component: {cid}")
     field, kind = _STATES[category]
     new = _read.member(kind, state, f"invalid {category} state")
-    return replace(t, **{field: tuple(
-        replace(c, state=new) if c.id == cid else c for c in getattr(t, field)
+    return t._replace(**{field: tuple(
+        c._replace(state=new) if c.id == cid else c for c in getattr(t, field)
     )})
 
 
@@ -380,5 +384,5 @@ def replace_service_path(t: Topology, service_id: str, path: tuple[str, ...]) ->
     """Return a topology with one service's path swapped out."""
     if service_id not in t._services_by_id:
         raise TopologyError(f"unknown service: {service_id}")
-    new = replace(t.service(service_id), path=tuple(path))
-    return replace(t, services=tuple(new if s.id == service_id else s for s in t.services))
+    new = t.service(service_id)._replace(path=tuple(path))
+    return t._replace(services=tuple(new if s.id == service_id else s for s in t.services))

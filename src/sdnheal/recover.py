@@ -10,14 +10,14 @@ checked by polling the affected services until they read up.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from . import bndiag
 from .bndiag import Diagnosis, Verdict
 from .docread import Reader
 from .netmodel import ServiceState, Topology
+from .records import Frozen
 from .taxonomy import FaultClass
 
 
@@ -38,23 +38,27 @@ class OutcomeStatus(str, Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class RecoveryAction:
+class RecoveryAction(NamedTuple):
     kind: ActionKind
     target: str
     avoid: tuple[str, ...] = ()  # ids a reroute's new path must not use
-    fallback: "RecoveryAction | None" = None
+    fallback: RecoveryAction | None = None
 
 
-@dataclass(frozen=True)
-class ActionOutcome:
+class _ActionOutcome(NamedTuple):
     action: RecoveryAction
     status: OutcomeStatus
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.status is OutcomeStatus.FAILURE and not self.detail:
+
+class ActionOutcome(Frozen, _ActionOutcome):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ActionOutcome:
+        outcome = super().__new__(cls, *args, **kwargs)
+        if outcome.status is OutcomeStatus.FAILURE and not outcome.detail:
             raise ValueError("failure outcome requires a detail message")
+        return outcome
 
 
 # The fault class whose targets each action kind acts on. A repair ticket
@@ -67,27 +71,36 @@ TARGET_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class ActionTemplate:
+class _ActionTemplate(NamedTuple):
     kind: ActionKind
     scope: str = "target"
 
-    def __post_init__(self) -> None:
-        if self.scope not in ("target", "dependent-services"):
+
+class ActionTemplate(Frozen, _ActionTemplate):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ActionTemplate:
+        template = super().__new__(cls, *args, **kwargs)
+        if template.scope not in ("target", "dependent-services"):
             raise PlanError(
-                f"unknown action scope {self.scope!r} "
+                f"unknown action scope {template.scope!r} "
                 "(expected target or dependent-services)"
             )
+        return template
 
 
-@dataclass(frozen=True)
-class StrategyTable:
+class _StrategyTable(NamedTuple):
     entries: dict[FaultClass, tuple[ActionTemplate, ...]]
 
-    def __post_init__(self) -> None:
-        missing = [fc.value for fc in FaultClass if fc not in self.entries]
+
+class StrategyTable(Frozen, _StrategyTable):
+    __slots__ = ()
+
+    def __new__(cls, entries) -> StrategyTable:
+        missing = [fc.value for fc in FaultClass if fc not in entries]
         if missing:
             raise PlanError("strategy table not total, missing: " + ", ".join(missing))
+        return super().__new__(cls, entries)
 
 
 def _check_entry(fc: FaultClass, templates: tuple[ActionTemplate, ...]) -> None:

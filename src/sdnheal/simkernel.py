@@ -41,14 +41,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import netmodel, taxonomy
 from .alarmpipe import EVENT_OF_SYMPTOM, RawAlarm
 from .docread import Reader
 from .netmodel import ServiceState, Topology
+from .records import Frozen
 from .recover import (
     TARGET_CLASS, ActionKind, ActionOutcome, OutcomeStatus, RecoveryAction,
 )
@@ -67,34 +68,37 @@ class NoiseMode(str, Enum):
     STOCHASTIC = "stochastic"
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class _NoiseConfig(NamedTuple):
     mode: NoiseMode = NoiseMode.DETERMINISTIC
     alarm_loss_probability: float = 0.0
     spurious_alarm_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.alarm_loss_probability <= 1.0:
+
+class NoiseConfig(Frozen, _NoiseConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> NoiseConfig:
+        noise = super().__new__(cls, *args, **kwargs)
+        if not 0.0 <= noise.alarm_loss_probability <= 1.0:
             raise SimError(
-                f"alarm-loss-probability out of [0,1]: {self.alarm_loss_probability}"
+                f"alarm-loss-probability out of [0,1]: {noise.alarm_loss_probability}"
             )
-        if self.spurious_alarm_rate < 0.0:
-            raise SimError(f"spurious-alarm-rate negative: {self.spurious_alarm_rate}")
-        if self.mode is NoiseMode.DETERMINISTIC and (
-            self.alarm_loss_probability or self.spurious_alarm_rate
+        if noise.spurious_alarm_rate < 0.0:
+            raise SimError(f"spurious-alarm-rate negative: {noise.spurious_alarm_rate}")
+        if noise.mode is NoiseMode.DETERMINISTIC and (
+            noise.alarm_loss_probability or noise.spurious_alarm_rate
         ):
             raise SimError("deterministic mode forces loss and spurious rates to 0")
+        return noise
 
 
-@dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(NamedTuple):
     target: str
     fault_class: FaultClass
     at_tick: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _Scenario(NamedTuple):
     topology: Topology
     faults: tuple[FaultEvent, ...] = ()
     noise: NoiseConfig = NoiseConfig()
@@ -102,11 +106,15 @@ class Scenario:
     horizon: int = 100
     repair_delay: int = DEFAULT_REPAIR_DELAY
 
-    def __post_init__(self) -> None:
+
+class Scenario(Frozen, _Scenario):
+    def __new__(cls, *args, **kwargs) -> Scenario:
+        s = super().__new__(cls, *args, **kwargs)
         # `step` injects faults in this order
-        faults = tuple(sorted(self.faults, key=lambda f: (f.at_tick, f.target)))
-        object.__setattr__(self, "faults", faults)
-        _validate_scenario(self)
+        faults = tuple(sorted(s.faults, key=lambda f: (f.at_tick, f.target)))
+        s = tuple.__new__(cls, (s.topology, faults, *s[2:]))
+        _validate_scenario(s)
+        return s
 
     @cached_property
     def vocabulary(self) -> tuple[tuple[Symptom, str], ...]:
@@ -150,8 +158,7 @@ class RngHold:
         return f"RngHold(spent={self._spent})"
 
 
-@dataclass(frozen=True)
-class SimState:
+class _SimState(NamedTuple):
     scenario: Scenario
     tick: int
     topology: Topology
@@ -161,6 +168,8 @@ class SimState:
     rng: RngHold
     next_fault_index: int = 0
 
+
+class SimState(Frozen, _SimState):
     @cached_property
     def down(self) -> frozenset[str]:
         """The components with an active physical failure."""
@@ -187,25 +196,17 @@ class SimState:
         return self.rng.live().getstate()
 
 
-# every value a state caches; each follows from its faults and its topology
-_CACHED = tuple(
-    name for name, value in vars(SimState).items() if isinstance(value, cached_property)
-)
-
-
 def _successor(state: SimState, **changes) -> SimState:
-    """`state` with `changes`, built without the frozen `__init__`.
+    """`state` with `changes`, built as `_replace` builds, without binding
+    arguments.
 
-    While the faults and the topology stay, the new state keeps `state`'s
-    cached values instead of computing them again.
+    Every value a state caches follows from its faults and its topology:
+    while they stay, the new state keeps `state`'s cached values instead
+    of computing them again.
     """
-    new = object.__new__(SimState)
-    values = vars(new)
-    values.update(vars(state))
-    values.update(changes)
-    if new.topology is not state.topology or new.active_faults != state.active_faults:
-        for name in _CACHED:
-            values.pop(name, None)
+    new = tuple.__new__(SimState, map(changes.pop, SimState._fields, state))
+    if new.topology is state.topology and new.active_faults == state.active_faults:
+        vars(new).update(vars(state))
     return new
 
 

@@ -6,7 +6,6 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -1199,7 +1198,7 @@ def test_equal_networks_never_share_a_compiled_form(t1):
     assert a.compiled is not b.compiled
     # a copy with other priors compiles its own resting pairs
     fid = "fault:physical:l1"
-    raised = replace(a, priors={**a.priors, fid: 0.5})
+    raised = a._replace(priors={**a.priors, fid: 0.5})
     assert raised.compiled.open.pairs[fid] == pytest.approx((0.5, 0.5))
     assert a.compiled.open.pairs[fid] == pytest.approx((0.99, 0.01))
     evidence = {sid: False for sid in a.symptom_ids}

@@ -324,6 +324,20 @@ def _diagnose_case(network_doc, *flags):
     return documents, ["diagnose", "bn.json", "--evidence", "e.json", *flags]
 
 
+def _t1_variable_case(vid, edit):
+    """A `build-bn` dump of T1 with one variable's entry edited, diagnosed
+    on a link-down of l1."""
+    def apply(doc):
+        (entry,) = (v for v in doc["variables"] if v["id"] == vid)
+        edit(entry)
+
+    documents = {
+        "bn.json": _edited(_t1_network_doc(), apply),
+        "e.json": {"symptom:link-down:l1": True},
+    }
+    return documents, ["diagnose", "bn.json", "--evidence", "e.json"]
+
+
 SCENARIO = "t1-linkfail.scenario.json"
 NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
 
@@ -523,6 +537,18 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         (
             {"x.scenario.json": _scenario_doc(horizon=simkernel.MAX_HORIZON + 1)},
             ["run", "x.scenario.json"],
+        ),
+        # inference reads only a variable's id, so its fields must name that id
+        _t1_variable_case("fault:physical:l1", lambda v: v.pop("fault-class")),
+        _t1_variable_case(
+            "fault:physical:l1",
+            lambda v: v.update({"target": "zz", "fault-class": "controller-crash"}),
+        ),
+        _t1_variable_case(
+            "symptom:link-down:l1", lambda v: v.update(symptom="service-down", target="qq")
+        ),
+        _t1_variable_case(
+            "symptom:link-down:l1", lambda v: v.update({"fault-class": "physical-failure"})
         ),
     ],
 )
@@ -751,6 +777,35 @@ def test_the_command_line_runs_without_numpy(tmp_path):
     fixtures, leave numpy unimported: none of them meets a component of
     more than four shared faults."""
     _fresh(_CLI_WITHOUT_NUMPY, tmp_path)
+
+
+# `_CLI_WITHOUT_NUMPY` with a check after the imports and after every verb
+_CLI_WITHOUT_DATACLASSES = """
+import sys
+import sdnheal.cli, sdnheal.healloop
+
+def check(when):
+    found = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+    if found:
+        sys.exit(f"{found} imported {when}")
+
+check("with the package")
+main = sdnheal.cli.main
+
+def checked_main(argv):
+    status = main(argv)
+    check(f"by {argv}")
+    return status
+
+sdnheal.cli.main = checked_main
+""" + _CLI_WITHOUT_NUMPY
+
+
+def test_the_command_line_runs_without_dataclasses(tmp_path):
+    """Every record is a NamedTuple: importing the command line and the
+    loop, and every verb on the T1 fixtures, leave `dataclasses` and the
+    `inspect` it pulls in unimported."""
+    _fresh(_CLI_WITHOUT_DATACLASSES, tmp_path)
 
 
 def test_a_wide_component_imports_numpy_and_gives_its_pairs(tmp_path):

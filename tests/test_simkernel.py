@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -795,7 +794,7 @@ def test_step_equals_the_reference_step_with_actions_between(seed, noise, data):
             state, outcome = simkernel.apply_action(state, actions[pick])
             reference, expected_outcome = simkernel.apply_action(reference, actions[pick])
             assert outcome == expected_outcome
-            reference = replace(reference)  # a fresh state caches nothing
+            reference = reference._replace()  # a fresh state caches nothing
 
 
 # ---------------------------------------------------------------------------
