@@ -1151,6 +1151,10 @@ def _check_structure(bn: BayesNet) -> None:
         if v.id in seen:
             raise BnError(f"duplicate variable id: {v.id}")
         seen.add(v.id)
+    # inference reads only the CPTs of symptom variables
+    stray = sorted(bn.cpts.keys() - set(bn.symptom_ids))
+    if stray:
+        raise BnError(f"CPT of a variable that is not a symptom: {stray[0]}")
     fault_ids = set(bn.fault_ids)
     for sid in bn.symptom_ids:
         cpt = bn.cpts.get(sid)

@@ -1,13 +1,15 @@
-"""The self-healing closed loop: detect, diagnose, recover, verify.
+"""The self-healing closed loop: advance, window, diagnose, recover, verify.
 
-Each tick the loop steps the simulator, translates raw alarms, and
-windows them; a tick that leaves the alarm buffer empty has nothing to
-window and skips windowing. A non-empty window becomes an incident: the
-window turns into evidence, exact inference ranks the fault hypotheses,
-and a confident or suspect diagnosis is planned and executed against the
-simulator, then verified by polling the affected services. Inconclusive
-diagnoses widen the evidence window a bounded number of times before the
-incident is recorded unresolved.
+A run moves only through `_Driver.advance`: the loop, widening and
+verification each step the simulator through it, and it buffers the
+translated alarms the network has a variable for. A tick that leaves the
+buffer empty has nothing to window; otherwise a non-empty window of the
+last `evidence-window` ticks becomes an incident. Its evidence ranks the
+fault hypotheses by exact inference, and a confident or suspect diagnosis
+is planned, executed against the simulator and verified by polling the
+affected services. An inconclusive diagnosis widens the window one tick
+at a time, a bounded number of times, before the incident is recorded
+unresolved.
 
 Ground-truth injected faults are attached to incident records by the
 report writer only; the diagnosis path never sees them. Alarms already
@@ -110,51 +112,54 @@ class RunReport(NamedTuple):
 
 
 class _Driver:
-    """Owns the stepping simulator plus alarm bookkeeping for one run.
+    """The stepping simulator and the alarm bookkeeping of one run.
 
-    Implements the actuator callable and the service-prober protocol that
-    recovery execution and verification drive.
+    Alarms are keyed one way, (emitter, symptom), both to tell which ones
+    the network monitors and which ones are suppressed. The driver is also
+    the actuator and the service prober that recovery drives.
     """
 
-    def __init__(self, state: SimState, monitored: frozenset[str]):
+    def __init__(self, state: SimState, bn: BayesNet, span: int):
         self.state = state
-        self.monitored = monitored
+        self.span = span
+        self.monitored = frozenset(
+            (v.target, v.symptom) for v in bn.variables if v.kind == "symptom"
+        )
         self.buffer: list[Alarm] = []
         self.alarm_log: list[Alarm] = []
         self.suppressed: set[tuple[str, Symptom]] = set()
 
-    @property
-    def tick(self) -> int:
-        return self.state.tick
-
-    def can_step(self) -> bool:
-        return self.state.tick < self.state.scenario.horizon
-
-    def step_once(self) -> None:
+    def advance(self) -> bool:
+        """Step one tick and buffer its alarms; False at the horizon."""
+        if self.state.tick >= self.state.scenario.horizon:
+            return False
         self.state, raws = simkernel.step(self.state)
         # A suppressed symptom that stops re-occurring has cleared; a later
         # re-occurrence is a fresh episode.
         if not raws:
             self.suppressed.clear()
-            return
+            return True
         alarms = [alarmpipe.translate_alarm(r) for r in raws]
         self.alarm_log.extend(alarms)
+        keys = [(a.emitter, a.symptom) for a in alarms]
         # Only alarms the network has a variable for are windowed: a host's
         # node-unreachable has none unless it was built with include-hosts.
-        self.buffer.extend(
-            a
-            for a in alarms
-            if (a.emitter, a.symptom) not in self.suppressed
-            and bndiag.symptom_var_id(a.symptom, a.emitter) in self.monitored
-        )
+        self.buffer.extend(a for a, key in zip(alarms, keys)
+                           if key in self.monitored and key not in self.suppressed)
         if self.suppressed:
-            self.suppressed &= {(a.emitter, a.symptom) for a in alarms}
-
-    def advance(self) -> bool:
-        if not self.can_step():
-            return False
-        self.step_once()
+            self.suppressed.intersection_update(keys)
         return True
+
+    def window(self, widenings: int = 0) -> set[Alarm]:
+        """The buffered alarms of the last `span` ticks plus one per widening."""
+        start = self.state.tick - self.span - widenings + 1
+        self.buffer = [a for a in self.buffer if a.tick >= start]
+        return alarmpipe.collect_window(self.buffer, (start, self.state.tick))
+
+    def attribute(self, alarms: tuple[Alarm, ...]) -> None:
+        """Suppress the keys of an incident's alarms while they keep re-occurring."""
+        self.suppressed.update((a.emitter, a.symptom) for a in alarms)
+        self.buffer = [a for a in self.buffer if (a.emitter, a.symptom) not in self.suppressed]
 
     def poll(self, service_id: str) -> ServiceState:
         return simkernel.observe_service(self.state, service_id)
@@ -162,15 +167,6 @@ class _Driver:
     def apply(self, action: RecoveryAction) -> ActionOutcome:
         self.state, outcome = simkernel.apply_action(self.state, action)
         return outcome
-
-    def prune_buffer(self, keep_from_tick: int) -> None:
-        self.buffer = [a for a in self.buffer if a.tick >= keep_from_tick]
-
-    def attribute_to_incident(self, keys: set[tuple[str, Symptom]]) -> None:
-        self.suppressed |= keys
-        self.buffer = [
-            a for a in self.buffer if (a.emitter, a.symptom) not in self.suppressed
-        ]
 
 
 _Diagnosed = tuple[EvidenceMap, Posterior, Diagnosis]
@@ -207,32 +203,25 @@ def run_loop(
     table = table or recover.default_strategy_table()
     config = config or LoopConfig()
     diagnoser = _Diagnoser(bndiag.build_bn(scenario.topology, params), config)
-    driver = _Driver(simkernel.init_sim(scenario), diagnoser.bn.compiled.symptoms)
+    driver = _Driver(simkernel.init_sim(scenario), diagnoser.bn, config.evidence_window)
 
     records: list[IncidentRecord] = []
-    while driver.can_step():
-        driver.step_once()
+    while driver.advance():
         if not driver.buffer:
             continue
-        span_start = driver.tick - config.evidence_window + 1
-        driver.prune_buffer(span_start)
-        window = alarmpipe.collect_window(driver.buffer, (span_start, driver.tick))
-        if not window:
-            continue
-        record, final_window = _handle_incident(
-            driver, window, span_start, diagnoser, table, config, scenario
-        )
-        records.append(record)
-        driver.attribute_to_incident({(a.emitter, a.symptom) for a in final_window})
+        window = driver.window()
+        if window:
+            record = _handle_incident(driver, window, diagnoser, table, config)
+            records.append(record)
+            driver.attribute(record.alarms)
 
-    metrics = compute_metrics(records, driver.alarm_log)
     return RunReport(
         scenario_name=scenario_name,
         seed=scenario.seed,
         horizon=scenario.horizon,
         records=tuple(records),
         alarm_log=tuple(driver.alarm_log),
-        metrics=metrics,
+        metrics=compute_metrics(records, driver.alarm_log),
         params=params,
         config=config,
         table=table,
@@ -242,58 +231,44 @@ def run_loop(
 def _handle_incident(
     driver: _Driver,
     window: set[Alarm],
-    span_start: int,
     diagnoser: _Diagnoser,
     table: StrategyTable,
     config: LoopConfig,
-    scenario: Scenario,
-) -> tuple[IncidentRecord, set[Alarm]]:
-    detected_at = driver.tick
-    injected = _ground_truth(driver.state, scenario, detected_at)
+) -> IncidentRecord:
+    detected_at = driver.state.tick
+    injected = _ground_truth(driver.state)
 
+    evidence, posterior, diagnosis = diagnoser.diagnose(window)
     widenings = 0
-    while True:
-        evidence, posterior, diagnosis = diagnoser.diagnose(window)
-        if diagnosis.verdict is not Verdict.INCONCLUSIVE:
-            break
-        if widenings >= config.max_widenings or not driver.advance():
-            break
+    while (
+        diagnosis.verdict is Verdict.INCONCLUSIVE
+        and widenings < config.max_widenings
+        and driver.advance()
+    ):
         widenings += 1
-        window = alarmpipe.collect_window(driver.buffer, (span_start, driver.tick))
-    diagnosed_at = driver.tick
+        window = driver.window(widenings)
+        evidence, posterior, diagnosis = diagnoser.diagnose(window)
+    diagnosed_at = driver.state.tick
 
     plan: tuple[RecoveryAction, ...] = ()
     outcomes: tuple[ActionOutcome, ...] = ()
-    executed = False
-    recovered = False
     recovery_latency = None
     if diagnosis.verdict is not Verdict.INCONCLUSIVE:
         plan = tuple(recover.select_strategy(diagnosis, driver.state.topology, table))
         if not config.suggest_only:
-            executed = True
             outcomes = tuple(recover.execute_plan(list(plan), driver.apply))
+            topology = driver.state.topology
             affected = {
-                s.id
-                for s in driver.state.topology.services
-                if driver.poll(s.id) is not ServiceState.UP
+                s.id for s in topology.services if driver.poll(s.id) is not ServiceState.UP
             }
             affected.update(
-                a.target
-                for a in plan
-                if netmodel.component_category(driver.state.topology, a.target)
-                == "service"
+                a.target for a in plan
+                if netmodel.component_category(topology, a.target) == "service"
             )
-            plan_tick = driver.tick
-            recovered = recover.verify_recovery(affected, driver, config.verify_timeout)
-            if recovered:
-                recovery_latency = driver.tick - plan_tick
+            if recover.verify_recovery(affected, driver, config.verify_timeout):
+                recovery_latency = driver.state.tick - diagnosed_at
 
-    detection_latency = None
-    relevant = [f.at_tick for f in injected if f.at_tick <= detected_at]
-    if relevant:
-        detection_latency = detected_at - max(relevant)
-
-    record = IncidentRecord(
+    return IncidentRecord(
         detected_at=detected_at,
         diagnosed_at=diagnosed_at,
         injected_faults=injected,
@@ -303,27 +278,25 @@ def _handle_incident(
         diagnosis=diagnosis,
         plan=plan,
         outcomes=outcomes,
-        executed=executed,
-        recovered=recovered,
-        detection_latency=detection_latency,
+        # a plan is never empty, so an executed one has an outcome
+        executed=bool(outcomes),
+        recovered=recovery_latency is not None,
+        # the ground truth holds only faults injected by now, latest last
+        detection_latency=detected_at - injected[-1].at_tick if injected else None,
         diagnosis_latency=diagnosed_at - detected_at,
         recovery_latency=recovery_latency,
     )
-    return record, window
 
 
-def _ground_truth(
-    state: SimState, scenario: Scenario, at_tick: int
-) -> tuple[FaultEvent, ...]:
-    """Scenario faults currently active, for the report writer only."""
-    events = [
-        FaultEvent(target, fault_class, max(
-            (f.at_tick for f in scenario.faults
-             if f.target == target and f.fault_class is fault_class and f.at_tick <= at_tick),
-            default=0,
-        ))
-        for target, fault_class in state.active_faults
-    ]
+def _ground_truth(state: SimState) -> tuple[FaultEvent, ...]:
+    """Scenario faults active now, each at its latest injection, for the
+    report writer only."""
+    latest = {  # a scenario's faults are in tick order, so the latest wins
+        (f.target, f.fault_class): f.at_tick
+        for f in state.scenario.faults
+        if f.at_tick <= state.tick
+    }
+    events = [FaultEvent(*key, latest.get(key, 0)) for key in state.active_faults]
     return tuple(sorted(events, key=lambda f: (f.at_tick, f.target, f.fault_class.value)))
 
 

@@ -290,6 +290,10 @@ def _validate_path(
         f"path endpoint not a host: {s.id}/{end}"
         for end in (path[0], path[-1])
         if t.node(end).kind is not NodeKind.HOST
+    ] + [  # a management link never carries a data path
+        f"path uses a management link: {s.id}/{lid}"
+        for lid in path[1::2]
+        if t.link(lid).management
     ]
 
 

@@ -324,18 +324,23 @@ def _diagnose_case(network_doc, *flags):
     return documents, ["diagnose", "bn.json", "--evidence", "e.json", *flags]
 
 
+def _t1_network_case(edit):
+    """A `build-bn` dump of T1 with `edit` applied, diagnosed on a link-down
+    of l1."""
+    documents = {
+        "bn.json": _edited(_t1_network_doc(), edit),
+        "e.json": {"symptom:link-down:l1": True},
+    }
+    return documents, ["diagnose", "bn.json", "--evidence", "e.json"]
+
+
 def _t1_variable_case(vid, edit):
-    """A `build-bn` dump of T1 with one variable's entry edited, diagnosed
-    on a link-down of l1."""
+    """`_t1_network_case` with one variable's entry edited."""
     def apply(doc):
         (entry,) = (v for v in doc["variables"] if v["id"] == vid)
         edit(entry)
 
-    documents = {
-        "bn.json": _edited(_t1_network_doc(), apply),
-        "e.json": {"symptom:link-down:l1": True},
-    }
-    return documents, ["diagnose", "bn.json", "--evidence", "e.json"]
+    return _t1_network_case(apply)
 
 
 SCENARIO = "t1-linkfail.scenario.json"
@@ -550,6 +555,13 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         _t1_variable_case(
             "symptom:link-down:l1", lambda v: v.update({"fault-class": "physical-failure"})
         ),
+        # inference reads a CPT only for a symptom variable of the network
+        *(_t1_network_case(lambda doc: doc["cpts"].append(
+            {"child": child, "parents": ["fault:physical:l1"],
+             "link-probabilities": [0.9], "leak": 0.001}
+        )) for child in ("symptom:link-down:zz", "fault:physical:l2")),
+        # a management link never carries a data path
+        ({"t.json": _t1_doc_with("links", "l1", "management", True)}, ["validate", "t.json"]),
     ],
 )
 def test_malformed_documents_exit_1(workdir, capsys, monkeypatch, documents, argv):

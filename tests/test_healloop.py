@@ -1,6 +1,7 @@
 import enum
 import gc
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -290,6 +291,30 @@ def test_topogen_loop_reports_pinned(policy):
         widenings += sum(r.diagnosed_at > r.detected_at for r in report.records)
     assert reroutes and widenings  # the runs change paths and widen windows
     assert digest.hexdigest() == TOPOGEN_REPORTS_SHA1[policy]
+
+
+# Recorded before the loop stepped only through `_Driver.advance`; the
+# reports must not move.
+LOOP_CONFIGURATIONS_SHA1 = "7147899e253a1200593a8ed94a10b6588f5d0b00"
+
+
+def test_loop_configurations_pinned(t1):
+    """Windows of two and three ticks, with and without widening, planned
+    only or executed, under both policies. A window wider than one tick
+    can hold alarms raised while an earlier incident was being verified."""
+    digest = hashlib.sha1()
+    scenarios = (noisy_three_fault_scenario(t1), *map(overlapping_topogen_scenario, (0, 1)))
+    for scenario, policy, window, widenings, suggest_only in itertools.product(
+        scenarios, EvidencePolicy, (2, 3), (0, 2), (False, True)
+    ):
+        config = LoopConfig(
+            evidence_window=window,
+            evidence_policy=policy,
+            max_widenings=widenings,
+            suggest_only=suggest_only,
+        )
+        digest.update(emit_report(run_loop(scenario, config=config)).encode())
+    assert digest.hexdigest() == LOOP_CONFIGURATIONS_SHA1
 
 
 @pytest.mark.parametrize("policy", list(EvidencePolicy))
