@@ -14,14 +14,18 @@ unresolved.
 Ground-truth injected faults are attached to incident records by the
 report writer only; the diagnosis path never sees them. Alarms already
 attributed to a recorded incident are suppressed while they keep
-re-occurring, so one fault episode yields one incident.
+re-occurring, so one fault episode yields one incident. A suppressed
+alarm is still firing, so closed-world evidence leaves its symptom
+unobserved rather than observing it false.
 
 Diagnosis is memoized per run on the window's set of (emitter, symptom)
-pairs. Evidence depends on nothing else once the network, the evidence
-policy and the threshold are fixed, and they are for the whole run, so a
-window seen before reuses its evidence, posterior and diagnosis exactly
-instead of running inference again. The memo belongs to the network it
-was built for (`_Diagnoser`); a rebuilt network starts an empty one.
+pairs and, under closed-world, the suppressed ones. Evidence depends on
+nothing else once the network, the evidence policy and the threshold are
+fixed, and they are for the whole run, so a window seen before with the
+same suppressed keys reuses its evidence, posterior and diagnosis
+exactly instead of running inference again. The memo belongs to the
+network it was built for (`_Diagnoser`); a rebuilt network starts an
+empty one.
 """
 
 from __future__ import annotations
@@ -173,18 +177,28 @@ _Diagnosed = tuple[EvidenceMap, Posterior, Diagnosis]
 
 
 class _Diagnoser:
-    """Diagnosis of alarm windows against one network, memoized on window keys."""
+    """Diagnosis of alarm windows against one network, memoized on
+    (window keys, suppressed keys)."""
 
     def __init__(self, bn: BayesNet, config: LoopConfig):
         self.bn = bn
         self.policy = config.evidence_policy
         self.threshold = config.threshold
-        self.memo: dict[frozenset[tuple[str, Symptom]], _Diagnosed] = {}
+        self.memo: dict[tuple[frozenset, frozenset], _Diagnosed] = {}
 
-    def diagnose(self, window: set[Alarm]) -> _Diagnosed:
-        key = frozenset((a.emitter, a.symptom) for a in window)
+    def diagnose(
+        self, window: set[Alarm], suppressed: set[tuple[str, Symptom]]
+    ) -> _Diagnosed:
+        """Under closed-world a suppressed key's symptom stays unobserved:
+        its alarm is still firing, so its absence from the window is not
+        evidence that it is false. Open-world leaves it unobserved anyway."""
+        closed = self.policy is EvidencePolicy.CLOSED_WORLD
+        held = frozenset(suppressed) if closed else frozenset()
+        key = (frozenset((a.emitter, a.symptom) for a in window), held)
         if key not in self.memo:
             evidence = alarmpipe.to_evidence(window, self.bn, self.policy)
+            for emitter, symptom in held:
+                evidence.pop(bndiag.symptom_var_id(symptom, emitter), None)
             posterior = bndiag.posterior_marginals(self.bn, evidence)
             diagnosis = bndiag.map_diagnosis(posterior, self.threshold, self.bn.priors)
             self.memo[key] = (evidence, posterior, diagnosis)
@@ -238,7 +252,7 @@ def _handle_incident(
     detected_at = driver.state.tick
     injected = _ground_truth(driver.state)
 
-    evidence, posterior, diagnosis = diagnoser.diagnose(window)
+    evidence, posterior, diagnosis = diagnoser.diagnose(window, driver.suppressed)
     widenings = 0
     while (
         diagnosis.verdict is Verdict.INCONCLUSIVE
@@ -247,7 +261,7 @@ def _handle_incident(
     ):
         widenings += 1
         window = driver.window(widenings)
-        evidence, posterior, diagnosis = diagnoser.diagnose(window)
+        evidence, posterior, diagnosis = diagnoser.diagnose(window, driver.suppressed)
     diagnosed_at = driver.state.tick
 
     plan: tuple[RecoveryAction, ...] = ()

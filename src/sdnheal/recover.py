@@ -2,9 +2,10 @@
 
 A strategy table maps each fault class to an ordered list of action
 templates: the first is the primary action, the rest are fallbacks tried
-in order when the primary fails. Plans are instantiated against the
-concrete diagnosed target, executed through an actuator callable, and
-checked by polling the affected services until they read up.
+in order when the primary fails, or after a reroute, which only bypasses
+the fault. Plans are instantiated against the concrete diagnosed target,
+executed through an actuator callable, and checked by polling the
+affected services until they read up.
 """
 
 from __future__ import annotations
@@ -224,8 +225,10 @@ Actuator = Callable[[RecoveryAction], ActionOutcome]
 
 
 def execute_plan(plan: list[RecoveryAction], actuator: Actuator) -> list[ActionOutcome]:
-    """Run a plan in order, chasing fallback chains on failure.
+    """Run a plan in order, chasing fallback chains.
 
+    A failed action goes on to its fallback. So does a reroute that
+    succeeds: it bypasses the fault, and the fault still needs its repair.
     Once an action succeeds for a target, later actions (including queued
     fallbacks) for that same target are skipped. Outcomes are returned in
     execution order and include fired fallbacks.
@@ -236,14 +239,13 @@ def execute_plan(plan: list[RecoveryAction], actuator: Actuator) -> list[ActionO
     succeeded: set[str] = set()
     for action in plan:
         current: RecoveryAction | None = action
-        while current is not None:
-            if current.target in succeeded:
-                break
+        while current is not None and current.target not in succeeded:
             outcome = actuator(current)
             outcomes.append(outcome)
             if outcome.status is OutcomeStatus.SUCCESS:
                 succeeded.add(current.target)
-                break
+                if current.kind is not ActionKind.REROUTE:
+                    break
             current = current.fallback
     return outcomes
 

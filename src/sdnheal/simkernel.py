@@ -19,18 +19,15 @@ only an event pays for `taxonomy.effects`.
 In stochastic mode each alarm is independently dropped with the
 configured loss probability and spurious alarms are drawn
 (Poisson-distributed per tick) uniformly from the topology's symptom
-vocabulary, all from the seeded generator.
+vocabulary, which is computed once per scenario (`Scenario.vocabulary`).
 
-A run draws from one live `random.Random`, seeded from the scenario by
-`init_sim` (never from the OS). Each state holds it (`SimState.rng`), and
-a stochastic step advances it in place and hands it to the state it
-returns, so no generator state is copied per tick. Only the newest state
-may draw from it or read it (`SimState.rng_state`, the 625-word
-`getstate` tuple, which state equality compares): stepping or reading a
-state after a later step has advanced its generator raises `SimError`
-rather than silently drawing other numbers. A deterministic step draws
-nothing and passes the hold on unchanged. The vocabulary is computed
-once per scenario (`Scenario.vocabulary`).
+Every draw is a keyed uniform (`_uniform`): a pure function of the
+scenario seed, the tick, the draw's purpose and its key, as a
+counter-based generator computes it (Salmon et al., *Parallel random
+numbers: as easy as 1, 2, 3*, SC'11). So a state is a plain value with
+no generator in it: stepping any state again gives an equal successor
+and the same alarms, and a symptom's loss does not depend on which other
+alarms fire that tick. A deterministic run draws nothing.
 
 A `Scenario` keeps its faults sorted by (tick, target) and is validated
 when it is built, however it is built. The module does no file I/O:
@@ -40,7 +37,6 @@ when it is built, however it is built. The module does no file I/O:
 from __future__ import annotations
 
 import math
-import random
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -57,6 +53,9 @@ from .taxonomy import FaultClass, Symptom
 
 DEFAULT_REPAIR_DELAY = 5
 MAX_HORIZON = 10**6  # ticks; the loop steps every tick
+# alarms per tick; above it exp(-rate), where the Poisson inversion starts,
+# loses precision and then underflows
+MAX_SPURIOUS_RATE = 700.0
 
 
 class SimError(ValueError):
@@ -83,8 +82,11 @@ class NoiseConfig(Frozen, _NoiseConfig):
             raise SimError(
                 f"alarm-loss-probability out of [0,1]: {noise.alarm_loss_probability}"
             )
-        if noise.spurious_alarm_rate < 0.0:
-            raise SimError(f"spurious-alarm-rate negative: {noise.spurious_alarm_rate}")
+        if not 0.0 <= noise.spurious_alarm_rate <= MAX_SPURIOUS_RATE:
+            raise SimError(
+                f"spurious-alarm-rate out of [0,{MAX_SPURIOUS_RATE:g}]: "
+                f"{noise.spurious_alarm_rate}"
+            )
         if noise.mode is NoiseMode.DETERMINISTIC and (
             noise.alarm_loss_probability or noise.spurious_alarm_rate
         ):
@@ -126,38 +128,6 @@ class Scenario(Frozen, _Scenario):
         return tuple(taxonomy.symptom_vocabulary(self.topology))
 
 
-class RngHold:
-    """One state's hold on its run's live generator, until a step advances it."""
-
-    __slots__ = ("_rng", "_spent")
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._spent = False
-
-    def live(self) -> random.Random:
-        if self._spent:
-            raise SimError("stale state: a later step has advanced its generator")
-        return self._rng
-
-    def advance(self) -> tuple[random.Random, RngHold]:
-        """The generator to draw one step from, and the next state's hold."""
-        rng = self.live()
-        self._spent = True
-        return rng, RngHold(rng)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RngHold):
-            return NotImplemented
-        return self.live().getstate() == other.live().getstate()
-
-    def __hash__(self) -> int:
-        return hash(self.live().getstate())
-
-    def __repr__(self) -> str:
-        return f"RngHold(spent={self._spent})"
-
-
 class _SimState(NamedTuple):
     scenario: Scenario
     tick: int
@@ -165,7 +135,6 @@ class _SimState(NamedTuple):
     active_faults: frozenset[tuple[str, FaultClass]]
     # (component, ready-at tick, fault class to clear; None clears them all)
     repair_tickets: frozenset[tuple[str, int, FaultClass | None]]
-    rng: RngHold
     next_fault_index: int = 0
 
 
@@ -189,11 +158,6 @@ class SimState(Frozen, _SimState):
     def alarm_keys(self) -> tuple[tuple[Symptom, str], ...]:
         """`symptoms` sorted: the order a step emits them in."""
         return tuple(sorted(self.symptoms))
-
-    @property
-    def rng_state(self) -> tuple:
-        """The generator's state (`random.Random.getstate`) at this state."""
-        return self.rng.live().getstate()
 
 
 def _successor(state: SimState, **changes) -> SimState:
@@ -277,7 +241,6 @@ def init_sim(scenario: Scenario) -> SimState:
         topology=scenario.topology,
         active_faults=frozenset(),
         repair_tickets=frozenset(),
-        rng=RngHold(random.Random(scenario.seed)),
         next_fault_index=0,
     )
 
@@ -287,15 +250,27 @@ def _raw_alarm(symptom: Symptom, emitter: str, tick: int) -> RawAlarm:
     return RawAlarm(dialect, emitter, event, tick)
 
 
-def _poisson(rng: random.Random, rate: float) -> int:
-    if rate <= 0.0:
-        return 0
-    threshold = math.exp(-rate)
+def _uniform(seed: int, tick: int, purpose: str, key: str) -> float:
+    """One draw on [0, 1): the top 53 bits of the 8-byte BLAKE2b digest of
+    `seed|tick|purpose|key`."""
+    import hashlib  # only a stochastic run draws, so only it imports hashlib
+
+    digest = hashlib.blake2b(f"{seed}|{tick}|{purpose}|{key}".encode(), digest_size=8)
+    return (int.from_bytes(digest.digest(), "big") >> 11) * 2.0**-53
+
+
+def _poisson(u: float, rate: float) -> int:
+    """The Poisson(`rate`) count at the uniform `u`, by inversion: the least
+    count whose CDF exceeds `u`. The sum stops once a term no longer adds
+    to it (the term underflowed, or the tail is below rounding)."""
     count = 0
-    product = rng.random()
-    while product > threshold:
+    p = cdf = math.exp(-rate)
+    while cdf <= u:
         count += 1
-        product *= rng.random()
+        p *= rate / count
+        if cdf + p == cdf:
+            break
+        cdf += p
     return count
 
 
@@ -303,17 +278,15 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     """Advance one tick: close due tickets, inject due faults, emit alarms.
 
     Only the active faults and the tickets change, and only on a tick
-    that closes a ticket or injects a fault; the topology is kept.
+    that closes a ticket or injects a fault; the topology is kept. The
+    alarms are the new state's, each dropped on its own loss draw (keyed
+    by the tick, the symptom and its emitter), then the tick's spurious
+    alarms: a count drawn once per tick, and a vocabulary entry per index.
     """
     scenario = state.scenario
     if state.tick >= scenario.horizon:
         raise SimError(f"horizon {scenario.horizon} exceeded")
     tick = state.tick + 1
-    noise = scenario.noise
-    stochastic = noise.mode is NoiseMode.STOCHASTIC
-    hold = state.rng
-    if stochastic:
-        rng, hold = hold.advance()
 
     active, tickets = state.active_faults, state.repair_tickets
     due = [ticket for ticket in tickets if ticket[1] <= tick]
@@ -339,19 +312,23 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
         tick=tick,
         active_faults=active,
         repair_tickets=tickets,
-        rng=hold,
         next_fault_index=index,
     )
+    # a deterministic scenario's rates are 0, so only a stochastic one draws
+    seed, noise = scenario.seed, scenario.noise
+    loss, rate = noise.alarm_loss_probability, noise.spurious_alarm_rate
     emitted = new_state.alarm_keys
-    if stochastic and emitted:  # one loss draw per symptom, whatever the probability
-        draw, loss = rng.random, noise.alarm_loss_probability
-        emitted = [key for key in emitted if not draw() < loss]
+    if loss > 0.0:
+        emitted = [
+            (symptom, emitter) for symptom, emitter in emitted
+            if not _uniform(seed, tick, "loss", f"{symptom.value}|{emitter}") < loss
+        ]
     alarms = [_raw_alarm(symptom, emitter, tick) for symptom, emitter in emitted]
-    if stochastic and noise.spurious_alarm_rate > 0.0:
+    if rate > 0.0:
         vocabulary = scenario.vocabulary
-        for _ in range(_poisson(rng, noise.spurious_alarm_rate)):
-            symptom, emitter = vocabulary[rng.randrange(len(vocabulary))]
-            alarms.append(_raw_alarm(symptom, emitter, tick))
+        for i in range(_poisson(_uniform(seed, tick, "spurious", ""), rate)):
+            pick = _uniform(seed, tick, "pick", str(i))
+            alarms.append(_raw_alarm(*vocabulary[int(pick * len(vocabulary))], tick))
     return new_state, alarms
 
 
@@ -359,10 +336,10 @@ def observe_service(state: SimState, service_id: str) -> ServiceState:
     """Probe one service: down beats degraded beats up.
 
     The truth is read from the state's alarms (`SimState.symptoms`): down
-    iff they hold service-down for it, degraded iff sla-violation. In
-    stochastic mode the reading flips with the alarm-loss probability,
-    using a counter-based generator so probing never perturbs the stepping
-    RNG.
+    iff they hold service-down for it, degraded iff sla-violation. With an
+    alarm-loss probability above 0 the reading flips with that
+    probability, on a draw keyed by the tick and the service, so a probe
+    is the same however often and in whatever order the services are read.
     """
     if netmodel.component_category(state.topology, service_id) != "service":
         raise SimError(f"unknown service: {service_id}")
@@ -374,13 +351,10 @@ def observe_service(state: SimState, service_id: str) -> ServiceState:
     else:
         truth = ServiceState.UP
 
-    noise = state.scenario.noise
-    if noise.mode is NoiseMode.STOCHASTIC and noise.alarm_loss_probability > 0.0:
-        probe_rng = random.Random(
-            f"{state.scenario.seed}|{state.tick}|observe|{service_id}"
-        )
-        if probe_rng.random() < noise.alarm_loss_probability:
-            return ServiceState.DOWN if truth is ServiceState.UP else ServiceState.UP
+    scenario = state.scenario
+    loss = scenario.noise.alarm_loss_probability
+    if loss > 0.0 and _uniform(scenario.seed, state.tick, "probe", service_id) < loss:
+        return ServiceState.DOWN if truth is ServiceState.UP else ServiceState.UP
     return truth
 
 

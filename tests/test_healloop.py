@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnheal import alarmpipe, bndiag, healloop, recover, simkernel, taxonomy
+from sdnheal import bndiag, healloop, recover, simkernel, taxonomy
 from sdnheal.alarmpipe import EvidencePolicy
 from sdnheal.bndiag import BnParams, Diagnosis, Posterior, Verdict
 from sdnheal.healloop import (
@@ -200,8 +200,7 @@ def test_run_loop_deterministic_across_calls(t1):
 
 
 def noisy_three_fault_scenario(t1) -> Scenario:
-    """Overlapping faults under loss and spurious alarms: some alarm windows
-    repeat within the run, under either evidence policy."""
+    """Overlapping faults under loss and spurious alarms."""
     return scenario_for(
         t1,
         faults=[
@@ -220,11 +219,12 @@ def noisy_three_fault_scenario(t1) -> Scenario:
     )
 
 
-# Recorded for the engine that conditions on shared faults; the reports
-# must not move.
+# Recorded when the simulator's draws became keyed uniforms, a reroute went
+# on to its repair ticket and closed-world evidence left suppressed
+# symptoms unobserved; the reports must not move.
 NOISY_REPORT_SHA1 = {
-    EvidencePolicy.CLOSED_WORLD: "96a447a875b74331c06e93e2958db64c79110eba",
-    EvidencePolicy.OPEN_WORLD: "79fef96794cdae086f7b1e96dbdcd8b9b99421dd",
+    EvidencePolicy.CLOSED_WORLD: "ef40aa9106ada4c650622b3e5b5da51b21a1e4f0",
+    EvidencePolicy.OPEN_WORLD: "35ab9ccf7704aee83d1a80be0b443a1186a47683",
 }
 
 
@@ -266,10 +266,12 @@ def overlapping_topogen_scenario(seed: int) -> Scenario:
     )
 
 
-# Recorded before quiet ticks reused their state; the reports must not move.
+# Recorded when the simulator's draws became keyed uniforms, a reroute went
+# on to its repair ticket and closed-world evidence left suppressed
+# symptoms unobserved; the reports must not move.
 TOPOGEN_REPORTS_SHA1 = {
-    EvidencePolicy.CLOSED_WORLD: "db63e865d4d8a0195ab749ec41fc5480128e324d",
-    EvidencePolicy.OPEN_WORLD: "3dbf0659cd4238ea685a675616f4714f308d6d9e",
+    EvidencePolicy.CLOSED_WORLD: "83e94a1c15ca56fc7f560c7ee6f7822f4c9fa15f",
+    EvidencePolicy.OPEN_WORLD: "eeb5c44fad0c1ccc3a507697163c6b0f6c60dbc0",
 }
 
 
@@ -293,9 +295,10 @@ def test_topogen_loop_reports_pinned(policy):
     assert digest.hexdigest() == TOPOGEN_REPORTS_SHA1[policy]
 
 
-# Recorded before the loop stepped only through `_Driver.advance`; the
-# reports must not move.
-LOOP_CONFIGURATIONS_SHA1 = "7147899e253a1200593a8ed94a10b6588f5d0b00"
+# Recorded when the simulator's draws became keyed uniforms, a reroute went
+# on to its repair ticket and closed-world evidence left suppressed
+# symptoms unobserved; the reports must not move.
+LOOP_CONFIGURATIONS_SHA1 = "d963bdca81f322fd3888e7242beb2e900c53425f"
 
 
 def test_loop_configurations_pinned(t1):
@@ -317,34 +320,71 @@ def test_loop_configurations_pinned(t1):
     assert digest.hexdigest() == LOOP_CONFIGURATIONS_SHA1
 
 
+def _loop_scenarios(t1) -> list[Scenario]:
+    return [noisy_three_fault_scenario(t1), *map(overlapping_topogen_scenario, (0, 1, 2, 4))]
+
+
 @pytest.mark.parametrize("policy", list(EvidencePolicy))
 def test_loop_infers_each_window_once(t1, policy, monkeypatch):
-    windows, inferred = [], []
-    real_collect, real_infer = alarmpipe.collect_window, bndiag.posterior_marginals
+    """One inference per distinct (window, suppressed) key of a run. Only
+    closed-world evidence reads the suppressed keys, which it leaves
+    unobserved; open-world leaves every silent symptom unobserved, so its
+    key is the window alone."""
+    closed = policy is EvidencePolicy.CLOSED_WORLD
+    keys, inferred = [], []
+    real_diagnose, real_infer = healloop._Diagnoser.diagnose, bndiag.posterior_marginals
 
-    def collecting(alarms, span):
-        window = real_collect(alarms, span)
-        if window:  # every non-empty window is diagnosed
-            windows.append(
-                frozenset(bndiag.symptom_var_id(a.symptom, a.emitter) for a in window)
-            )
-        return window
+    def diagnosing(diagnoser, window, suppressed):
+        keys.append((
+            frozenset(bndiag.symptom_var_id(a.symptom, a.emitter) for a in window),
+            frozenset(bndiag.symptom_var_id(s, e) for e, s in suppressed) if closed
+            else frozenset(),
+        ))
+        return real_diagnose(diagnoser, window, suppressed)
 
     def inferring(bn, evidence):
-        inferred.append(frozenset(sid for sid, value in evidence.items() if value))
+        inferred.append((
+            frozenset(sid for sid, value in evidence.items() if value),
+            frozenset(bn.symptom_ids) - evidence.keys() if closed else frozenset(),
+        ))
         return real_infer(bn, evidence)
 
-    monkeypatch.setattr(alarmpipe, "collect_window", collecting)
-    monkeypatch.setattr(bndiag, "posterior_marginals", inferring)
-    scenario = noisy_three_fault_scenario(t1)
-    report = run_loop(scenario, config=LoopConfig(evidence_policy=policy))
-    monkeypatch.undo()
+    def order(key):
+        return sorted(key[0]), sorted(key[1])
 
-    assert len(set(windows)) < len(windows)  # the run does repeat a window
-    assert sorted(inferred, key=sorted) == sorted(set(windows), key=sorted)
-    bn = bndiag.build_bn(scenario.topology)
-    for record in report.records:
-        assert record.posterior == bndiag.posterior_marginals(bn, record.evidence)
+    repeated = resuppressed = False
+    for scenario in _loop_scenarios(t1):
+        keys.clear()
+        inferred.clear()
+        monkeypatch.setattr(healloop._Diagnoser, "diagnose", diagnosing)
+        monkeypatch.setattr(bndiag, "posterior_marginals", inferring)
+        report = run_loop(scenario, config=LoopConfig(evidence_policy=policy))
+        monkeypatch.undo()
+
+        assert sorted(inferred, key=order) == sorted(set(keys), key=order)
+        repeated |= len(set(keys)) < len(keys)
+        resuppressed |= len({window for window, _ in set(keys)}) < len(set(keys))
+        bn = bndiag.build_bn(scenario.topology)
+        for record in report.records:
+            assert record.posterior == bndiag.posterior_marginals(bn, record.evidence)
+    assert repeated  # the runs do repeat a key
+    # and under closed-world diagnose a window under two suppressed sets
+    assert resuppressed == closed
+
+
+def test_closed_world_evidence_never_denies_a_firing_alarm(t1):
+    """No record observes a symptom false while its alarm fires at the tick
+    the record was diagnosed at, suppressed or not."""
+    for scenario in _loop_scenarios(t1):
+        report = run_loop(scenario)  # closed-world by default
+        firing: dict[int, set[str]] = {}
+        for alarm in report.alarm_log:
+            firing.setdefault(alarm.tick, set()).add(
+                bndiag.symptom_var_id(alarm.symptom, alarm.emitter)
+            )
+        for record in report.records:
+            denied = {sid for sid, value in record.evidence.items() if not value}
+            assert not denied & firing.get(record.diagnosed_at, set())
 
 
 def test_run_loop_calls_through_the_module_attributes(t1, monkeypatch):

@@ -242,6 +242,22 @@ def test_execute_plan_stops_after_success_per_target():
     ]
 
 
+def test_execute_plan_repairs_what_its_reroutes_bypass():
+    # two services through one failed link: both reroute, and the link
+    # still gets its repair ticket, once
+    ticket = RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="l1")
+    a = RecoveryAction(kind=ActionKind.REROUTE, target="va", avoid=("l1",), fallback=ticket)
+    b = RecoveryAction(kind=ActionKind.REROUTE, target="vb", avoid=("l1",), fallback=ticket)
+    actuator, calls = scripted_actuator({})
+    outcomes = execute_plan([a, b], actuator)
+    assert [(o.action.kind, o.action.target, o.status) for o in outcomes] == [
+        (ActionKind.REROUTE, "va", OutcomeStatus.SUCCESS),
+        (ActionKind.OPEN_REPAIR_TICKET, "l1", OutcomeStatus.SUCCESS),
+        (ActionKind.REROUTE, "vb", OutcomeStatus.SUCCESS),
+    ]
+    assert calls == [a, ticket, b]
+
+
 def test_execute_plan_preserves_order():
     actions = [
         RecoveryAction(kind=ActionKind.RESTART_SERVICE, target=f"v{i}")

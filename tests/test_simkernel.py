@@ -63,16 +63,40 @@ def test_init_sim_clean_state(t1):
 
 
 def test_init_sim_seed_isolation(t1):
-    a = simkernel.init_sim(scenario_for(t1, seed=7))
-    b = simkernel.init_sim(scenario_for(t1, seed=8))
-    assert a.tick == b.tick == 0
-    assert a.topology == b.topology
-    assert a.rng_state != b.rng_state
+    noise = NoiseConfig(
+        mode=NoiseMode.STOCHASTIC, alarm_loss_probability=0.5, spurious_alarm_rate=1.0
+    )
+    streams = []
+    for seed in (7, 8):
+        state = simkernel.init_sim(
+            scenario_for(t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0)],
+                         noise=noise, seed=seed)
+        )
+        assert state.tick == 0 and state.topology is t1
+        stream = []
+        for _ in range(state.scenario.horizon):
+            state, raws = simkernel.step(state)
+            stream.append(raws)
+        streams.append(stream)
+    assert streams[0] != streams[1]  # two seeds, two noisy streams
 
 
 def test_init_sim_rejects_fault_outside_horizon(t1):
     with pytest.raises(SimError, match="outside"):
         scenario_for(t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 10)])
+
+
+@pytest.mark.parametrize("rate", [-0.1, 700.5, math.inf, math.nan])
+def test_noise_config_bounds_the_spurious_rate(rate):
+    # beyond 700 the Poisson inversion's first term exp(-rate) underflows
+    with pytest.raises(SimError, match="spurious-alarm-rate out of"):
+        NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=rate)
+
+
+def test_spurious_count_follows_the_rate_up_to_its_bound():
+    for rate in (0.5, 2.0, 40.0, simkernel.MAX_SPURIOUS_RATE):
+        counts = [simkernel._poisson((i + 0.5) / 400, rate) for i in range(400)]
+        assert abs(sum(counts) / len(counts) - rate) <= 0.05 * rate + 0.01
 
 
 def test_noise_config_deterministic_forces_zero_rates():
@@ -255,10 +279,9 @@ def _sha1(value) -> str:
     return hashlib.sha1(json.dumps(value).encode()).hexdigest()
 
 
-# Recorded before the per-scenario vocabulary and the step generator
-# changed; the alarm stream and the generator state must not move.
-STREAM_SHA1 = "739b81f4e41034b44a423876fbfca51b500d209c"
-RNG_STATE_SHA1 = "94b0341ac59c269b0fcfdf3b1ef91efc3c338e57"
+# Recorded when every draw became a keyed uniform; the alarm stream must
+# not move.
+STREAM_SHA1 = "1633bc46a12c7cadcf2724b832708e950918faeb"
 
 
 def test_stochastic_stream_pinned(t1):
@@ -286,52 +309,63 @@ def test_stochastic_stream_pinned(t1):
         )
     assert sum(map(len, stream)) > 40
     assert _sha1(stream) == STREAM_SHA1
-    assert _sha1(state.rng_state) == RNG_STATE_SHA1
 
 
-def test_deterministic_step_leaves_rng_state(t1):
+def keyed_uniform(seed: int, tick: int, purpose: str, key: str) -> float:
+    """The draw the simulator's noise is specified by: the top 53 bits of
+    the 8-byte BLAKE2b digest of `seed|tick|purpose|key`, on [0, 1)."""
+    digest = hashlib.blake2b(f"{seed}|{tick}|{purpose}|{key}".encode(), digest_size=8)
+    return int.from_bytes(digest.digest(), "big") // 2**11 / 2**53
+
+
+def test_any_state_steps_again_to_an_equal_successor(t1):
+    noise = NoiseConfig(
+        mode=NoiseMode.STOCHASTIC, alarm_loss_probability=0.3, spurious_alarm_rate=1.0
+    )
     scenario = scenario_for(
-        t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2)], seed=5
+        t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 1)], noise=noise,
+        horizon=12,
     )
     state = simkernel.init_sim(scenario)
-    initial = state.rng_state
-    for _ in range(scenario.horizon):
-        state, _ = simkernel.step(state)
-        assert state.rng_state == initial
+    steps = []
+    while state.tick < scenario.horizon:
+        if state.tick == 3:  # an action between steps, as the loop takes them
+            state, _ = simkernel.apply_action(
+                state, RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="l1")
+            )
+        successor, raws = simkernel.step(state)
+        steps.append((state, successor, raws))
+        state = successor
+    assert any(raws for _, _, raws in steps)
+    for earlier, successor, raws in reversed(steps):  # newest first, then older
+        again, again_raws = simkernel.step(earlier)
+        assert again == successor and again_raws == raws
 
 
-def test_stepped_state_cannot_be_stepped_again(t1):
-    noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=1.0)
-    scenario = scenario_for(
-        t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 1)], noise=noise
-    )
-    first = simkernel.init_sim(scenario)
-    second, _ = simkernel.step(first)
-    # an action hands the same hold on; the generator has not moved
-    acted, _ = simkernel.apply_action(
-        second, RecoveryAction(kind=ActionKind.OPEN_REPAIR_TICKET, target="l1")
-    )
-    assert acted.rng_state == second.rng_state
-    third, _ = simkernel.step(acted)
-    for stale in (first, second, acted):
-        with pytest.raises(SimError, match="stale state"):
-            simkernel.step(stale)
-        with pytest.raises(SimError, match="stale state"):
-            stale.rng_state
-    # the newest state is untouched by those attempts
-    replayed = simkernel.init_sim(scenario)
-    for _ in range(2):
-        replayed, _ = simkernel.step(replayed)
-    assert replayed.rng_state == third.rng_state
-    simkernel.step(third)
+def test_loss_draw_does_not_depend_on_other_alarms(t1):
+    """A symptom's loss is drawn on its own key, so l1's alarms are lost on
+    the same ticks whether or not s3's agent crash fires beside them."""
+    noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, alarm_loss_probability=0.5)
+    l1 = FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0)
+    s3 = FaultEvent("s3", FaultClass.OPENFLOW_AGENT_CRASH, 0)
+    lost = []
+    for faults in ([l1], [l1, s3]):
+        state = simkernel.init_sim(scenario_for(t1, faults=faults, noise=noise, horizon=40))
+        kept = []
+        for _ in range(40):
+            state, symptoms = drain(state)
+            kept.append({key for key in symptoms if key[1] != "s3"})
+        lost.append(kept)
+    assert lost[0] == lost[1]
+    assert any(len(kept) < 3 for kept in lost[0])  # and l1's alarms do get lost
 
 
 def test_deterministic_states_step_again(t1):
     state, first = faulted(t1, ("l1", FaultClass.PHYSICAL_FAILURE))
     later, _ = drain(state)
-    _, again = drain(state)  # no generator moved, so the state stays valid
+    again_state, again = drain(state)
     assert again == first
-    assert state.rng_state == later.rng_state
+    assert again_state == later
 
 
 def test_spurious_alarms_appear_with_high_rate(t1):
@@ -659,13 +693,13 @@ def test_actions_that_keep_faults_and_topology_keep_the_alarms(t1, monkeypatch):
 def reference_step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
     """One tick as `simkernel.step` took it before quiet ticks reused their
     state: the faults and tickets copied on every tick, the alarms computed
-    afresh from the faults."""
+    afresh from the faults, and each draw its own keyed uniform."""
     scenario, noise = state.scenario, state.scenario.noise
     tick = state.tick + 1
-    stochastic = noise.mode is NoiseMode.STOCHASTIC
-    hold = state.rng
-    if stochastic:
-        rng, hold = hold.advance()
+
+    def uniform(purpose: str, key: str) -> float:
+        return keyed_uniform(scenario.seed, tick, purpose, key)
+
     active = set(state.active_faults)
     due = [ticket for ticket in state.repair_tickets if ticket[1] <= tick]
     tickets = state.repair_tickets.difference(due)
@@ -684,21 +718,25 @@ def reference_step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
         topology=state.topology,
         active_faults=frozenset(active),
         repair_tickets=tickets,
-        rng=hold,
         next_fault_index=index,
     )
-    emitted = sorted(new_state.symptoms)
-    if stochastic:
-        emitted = [key for key in emitted if not rng.random() < noise.alarm_loss_probability]
-    keys = list(emitted)
-    if stochastic and noise.spurious_alarm_rate > 0.0:
-        count, threshold = 0, math.exp(-noise.spurious_alarm_rate)
-        product = rng.random()
-        while product > threshold:  # a Poisson draw, then the alarms
+    loss = noise.alarm_loss_probability
+    keys = [
+        (symptom, emitter) for symptom, emitter in sorted(new_state.symptoms)
+        if loss == 0.0 or uniform("loss", f"{symptom.value}|{emitter}") >= loss
+    ]
+    rate = noise.spurious_alarm_rate
+    if rate > 0.0:
+        # a Poisson count by inversion of its CDF on one uniform, then the alarms
+        u, count, term = uniform("spurious", ""), 0, math.exp(-rate)
+        cdf = term
+        while cdf <= u and count < 1000:
             count += 1
-            product *= rng.random()
-        for _ in range(count):
-            keys.append(scenario.vocabulary[rng.randrange(len(scenario.vocabulary))])
+            term *= rate / count
+            cdf += term
+        vocabulary = scenario.vocabulary
+        for i in range(count):
+            keys.append(vocabulary[math.floor(uniform("pick", str(i)) * len(vocabulary))])
     alarms = []
     for symptom, emitter in keys:
         dialect, event = EVENT_OF_SYMPTOM[symptom]
@@ -773,7 +811,6 @@ def test_step_equals_the_reference_step_with_actions_between(seed, noise, data):
         assert raws == expected
         assert state.active_faults == reference.active_faults
         assert state.repair_tickets == reference.repair_tickets
-        assert state.rng_state == reference.rng_state
         assert state.symptoms == reference.symptoms
         assert state.alarm_keys == tuple(sorted(reference.symptoms))
         assert state.down == reference.down
@@ -785,9 +822,7 @@ def test_step_equals_the_reference_step_with_actions_between(seed, noise, data):
         if quiet:
             assert state.active_faults is previous.active_faults
             assert state.repair_tickets is previous.repair_tickets
-            if noise is not None:
-                with pytest.raises(SimError, match="stale state"):
-                    simkernel.step(previous)
+        assert simkernel.step(previous) == (state, raws)  # any state steps again
         actions = _candidate_actions(state)
         pick = data.draw(st.integers(min_value=0, max_value=len(actions)))
         if pick < len(actions):
