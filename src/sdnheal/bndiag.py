@@ -7,13 +7,12 @@ has a leaky noisy-OR conditional distribution: every active parent
 independently fails to trigger it with probability 1 - p_edge, and a leak
 lets it fire spontaneously.
 
-The edges are the propagation table `taxonomy.effects`, which the
-simulator's alarms also follow: a fault's direct effects (the alarms it
-raises) get p-direct, its indirect ones (symptoms it merely makes
-plausible) p-indirect. The variables (`BnVariable`) and CPTs (`NoisyOrCpt`)
-are named tuples: a network is built afresh for every topology, and a
-50-node one has about 700 of them. A variable therefore compares equal to
-a plain tuple of its fields.
+The edges are the propagation table `taxonomy.effects`, the alarms the
+simulator raises for each fault, every one at p-direct: the network and
+the simulator read one model. The variables (`BnVariable`) and CPTs
+(`NoisyOrCpt`) are named tuples: a network is built afresh for every
+topology, and a 50-node one has about 700 of them. A variable therefore
+compares equal to a plain tuple of its fields.
 
 Inference is exact and never builds a conditional table. Given the
 evidence, unobserved symptoms are barren and drop out, and each negative
@@ -170,7 +169,6 @@ class _BnParams(NamedTuple):
     prior_controller: float = 0.005
     prior_drop: float = 0.02
     p_direct: float = 0.95
-    p_indirect: float = 0.8
     leak: float = 0.001
     # Not a key of parameter documents: diagnosis uses the loop's threshold.
     threshold: float = 0.5
@@ -188,7 +186,7 @@ class BnParams(Frozen, _BnParams):
             value = getattr(params, name)
             if not 0.0 < value < 1.0:
                 raise BnError(f"{name.replace('_', '-')} must be in (0,1): {value}")
-        for name in ("p_direct", "p_indirect", "leak"):
+        for name in ("p_direct", "leak"):
             value = getattr(params, name)
             if not 0.0 <= value <= 1.0:
                 raise BnError(f"{name.replace('_', '-')} out of [0,1]: {value}")
@@ -197,7 +195,7 @@ class BnParams(Frozen, _BnParams):
         return params
 
 
-_NUMBER_KEYS = ("p-direct", "p-indirect", "leak")
+_NUMBER_KEYS = ("p-direct", "leak")
 # the keys of a parameter document; a threshold is rejected with its own error
 _PARAM_KEYS = frozenset({*_NUMBER_KEYS, "priors", "include-hosts", "threshold"})
 _read = Reader(BnError)
@@ -234,9 +232,9 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
     (hosts are outside the repair domain unless include_hosts is set), a
     traffic-drop fault per link, an agent crash per OpenFlow switch, one
     controller crash, and one service fault per service. Symptom variables
-    mirror the monitored alarm vocabulary. Each fault's edges are its
-    effects in the propagation table (`taxonomy.effects`): direct ones at
-    p_direct, indirect ones at p_indirect. Construction is deterministic.
+    mirror the monitored alarm vocabulary. Each fault's edges are the
+    alarms it raises in the propagation table (`taxonomy.effects`), every
+    one at p_direct. Construction is deterministic.
     """
     nodes = [n for n in t.nodes if params.include_hosts or n.kind is not NodeKind.HOST]
     links = [l.id for l in t.links]
@@ -263,16 +261,9 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
     # symptom's parents come out in id order.
     vocabulary = symptom_vocabulary(t, include_hosts=params.include_hosts)
     parents: dict[tuple[Symptom, str], list[str]] = {key: [] for key in vocabulary}
-    strengths: dict[tuple[Symptom, str], list[float]] = {key: [] for key in vocabulary}
-    p_direct, p_indirect = params.p_direct, params.p_indirect
     for vid, _, target, fc, _ in variables:
-        direct, indirect = effects(t, fc, target)
-        for key in direct:
+        for key in effects(t, fc, target):
             parents[key].append(vid)
-            strengths[key].append(p_direct)
-        for key in indirect:
-            parents[key].append(vid)
-            strengths[key].append(p_indirect)
 
     symptoms: list[BnVariable] = []
     cpts: dict[str, NoisyOrCpt] = {}
@@ -280,7 +271,8 @@ def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
         symptom, emitter = key
         sid = symptom_var_id(symptom, emitter)
         symptoms.append(_new(BnVariable, (sid, "symptom", emitter, None, symptom)))
-        cpts[sid] = _new(NoisyOrCpt, (sid, tuple(ids), tuple(strengths[key]), params.leak))
+        strengths = (params.p_direct,) * len(ids)
+        cpts[sid] = _new(NoisyOrCpt, (sid, tuple(ids), strengths, params.leak))
     symptoms.sort()
     return BayesNet(variables=(*variables, *symptoms), priors=priors, cpts=cpts)
 

@@ -286,6 +286,8 @@ def _validate_path(
         for i in range(1, len(path), 2)
     ):
         return [f"path not a connected walk: {s.id}"]
+    if path[0] == path[-1]:  # so every path holds a link
+        return [f"path endpoints are one host: {s.id}/{path[0]}"]
     return [
         f"path endpoint not a host: {s.id}/{end}"
         for end in (path[0], path[-1])

@@ -1,13 +1,13 @@
 """Deterministic discrete-time network simulator.
 
 Stands in for the NMS, the service manager, and the managed network:
-faults are injected on schedule, every tick the active faults raise their
-direct effects as alarms (`SimState.symptoms`, from the propagation table
-`taxonomy.effects`), and service status probes read the same set. A state
-holds the network's structure, the active faults and the pending tickets;
-a component is down iff a physical failure is active on it
-(`SimState.down`). Only `reroute` replaces `SimState.topology`, when a
-service path changes.
+faults are injected on schedule, every tick the active faults raise the
+alarms of the propagation table `taxonomy.effects` (`SimState.symptoms`),
+whose entries are also the diagnosis network's edges, and service status
+probes read the same set. A state holds the network's structure, the
+active faults and the pending tickets; a component is down iff a physical
+failure is active on it (`SimState.down`). Only `reroute` replaces
+`SimState.topology`, when a service path changes.
 
 Most ticks carry no news: no ticket or fault is due. Such a tick keeps
 the previous state's `active_faults` and `repair_tickets` objects, and a
@@ -148,9 +148,9 @@ class SimState(Frozen, _SimState):
 
     @cached_property
     def symptoms(self) -> frozenset[tuple[Symptom, str]]:
-        """The alarms the active faults raise: their direct effects."""
+        """The alarms the active faults raise (`taxonomy.effects`)."""
         return frozenset().union(*[
-            taxonomy.effects(self.topology, fault_class, target)[0]
+            taxonomy.effects(self.topology, fault_class, target)
             for target, fault_class in self.active_faults
         ])
 

@@ -95,66 +95,47 @@ def symptom_vocabulary(
 Effect = tuple[Symptom, str]  # (symptom, emitter)
 
 
-def effects(
-    topology: Topology, fault_class: FaultClass, target: str
-) -> tuple[list[Effect], list[Effect]]:
-    """The fault-propagation table: what one fault on `target` raises.
+def effects(topology: Topology, fault_class: FaultClass, target: str) -> list[Effect]:
+    """The fault-propagation table: the alarms one fault on `target` raises.
 
-    `direct` are the alarms the simulator emits while the fault is active,
-    and the diagnosis network's edges at p-direct; `indirect` are symptoms
-    the fault only makes plausible, its edges at p-indirect. Below, `l*`
-    ranges over the links incident to the node, `v*` over the services
-    whose path runs through the target.
+    The simulator emits them while the fault is active, and each is an
+    edge of the diagnosis network at p-direct: both sides read one model.
+    Below, `l*` ranges over the links incident to the node, `v*` over the
+    services whose path runs through the target.
 
-        fault                      direct                indirect
-        physical-failure(link l)   link-down(l),         sla-violation(v*)
-                                   traffic-drop(l),
+        fault                      alarms
+        physical-failure(link l)   link-down(l), traffic-drop(l),
                                    service-down(v*)
-        physical-failure(node n)   node-unreachable(n),  traffic-drop(l*),
-                                   link-down(l*),        of-session-lost(n) if
-                                   service-down(v*)      n is an OpenFlow switch,
-                                                         sla-violation(v*)
-        openflow-agent-crash(s)    of-session-lost(s)    service-down(v*),
-                                                         sla-violation(v*)
-        interface-traffic-drop(l)  traffic-drop(l),      -
-                                   sla-violation(v*)
-        service-fault(v)           service-down(v)       sla-violation(v)
-        controller-crash           of-session-lost(s)    -
-                                   per OpenFlow switch
+        physical-failure(node n)   node-unreachable(n), link-down(l*),
+                                   service-down(v*)
+        openflow-agent-crash(s)    of-session-lost(s)
+        interface-traffic-drop(l)  traffic-drop(l), sla-violation(v*)
+        service-fault(v)           service-down(v)
+        controller-crash           of-session-lost(s) per OpenFlow switch
 
     An agent crash severs the control session only; installed flows keep
-    forwarding, so it raises no service symptom for certain. Hosts are
-    treated like any node; whether they are monitored is the vocabulary's
-    concern (`symptom_vocabulary`).
+    forwarding, so it raises no service symptom. Hosts are treated like
+    any node; whether they are monitored is the vocabulary's concern
+    (`symptom_vocabulary`).
     """
-    through = topology.services_through(target)
     if fault_class is _PHYSICAL_FAILURE:
-        direct = [(_SERVICE_DOWN, v) for v in through]
-        indirect = [(_SLA_VIOLATION, v) for v in through]
+        out = [(_SERVICE_DOWN, v) for v in topology.services_through(target)]
         if netmodel.component_category(topology, target) == "link":
-            direct += ((_LINK_DOWN, target), (_TRAFFIC_DROP, target))
+            out += ((_LINK_DOWN, target), (_TRAFFIC_DROP, target))
         else:
-            direct.append((_NODE_UNREACHABLE, target))
-            for link in topology.incident_links(target):
-                direct.append((_LINK_DOWN, link))
-                indirect.append((_TRAFFIC_DROP, link))
-            if topology.node(target).kind is _SWITCH:
-                indirect.append((_OF_SESSION_LOST, target))
-    elif fault_class is _INTERFACE_TRAFFIC_DROP:
-        direct = [(_SLA_VIOLATION, v) for v in through]
-        direct.append((_TRAFFIC_DROP, target))
-        indirect = []
-    elif fault_class is _OPENFLOW_AGENT_CRASH:
-        direct = [(_OF_SESSION_LOST, target)]
-        indirect = [(_SERVICE_DOWN, v) for v in through]
-        indirect += [(_SLA_VIOLATION, v) for v in through]
-    elif fault_class is _SERVICE_FAULT:
-        direct = [(_SERVICE_DOWN, target)]
-        indirect = [(_SLA_VIOLATION, target)]
-    else:  # controller crash
-        direct = [(_OF_SESSION_LOST, n.id) for n in topology.nodes if n.kind is _SWITCH]
-        indirect = []
-    return direct, indirect
+            out.append((_NODE_UNREACHABLE, target))
+            out += [(_LINK_DOWN, link) for link in topology.incident_links(target)]
+        return out
+    if fault_class is _INTERFACE_TRAFFIC_DROP:
+        out = [(_SLA_VIOLATION, v) for v in topology.services_through(target)]
+        out.append((_TRAFFIC_DROP, target))
+        return out
+    if fault_class is _OPENFLOW_AGENT_CRASH:
+        return [(_OF_SESSION_LOST, target)]
+    if fault_class is _SERVICE_FAULT:
+        return [(_SERVICE_DOWN, target)]
+    # controller crash
+    return [(_OF_SESSION_LOST, n.id) for n in topology.nodes if n.kind is _SWITCH]
 
 
 def is_compatible(topology: Topology, target: str, fault: FaultClass) -> bool:

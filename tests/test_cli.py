@@ -47,6 +47,17 @@ def test_validate_rejects_broken_document(workdir, capsys):
     assert "multiple controllers" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_service_without_a_link(workdir, capsys):
+    # its sla-violation would be a symptom no fault raises, and `diagnose`
+    # rejects a network dump with a parentless symptom
+    doc = json.loads((workdir / "t1.topology.json").read_text())
+    doc["services"].append({"id": "v9", "path": ["h1"]})
+    bad = workdir / "bad.topology.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 1
+    assert "path endpoints are one host: v9/h1" in capsys.readouterr().err
+
+
 def test_validate_missing_file(workdir):
     assert main(["validate", str(workdir / "nope.json")]) == 1
 
@@ -410,8 +421,10 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         _diagnose_case(_two_fault_doc(variables=[0])),
         _diagnose_case(_two_fault_doc(cpt={"parents": ["fault:service:A"] * 2})),
         _diagnose_case(_two_fault_doc(extra_cpt=True)),
-        # the parent cap guarded table-based inference, which is gone
+        # the parent cap guarded table-based inference, which is gone, and
+        # the indirect edges were symptoms the simulator never raises
         ({"p.json": {"max-parents": 10}}, ["run", SCENARIO, "--params", "p.json"]),
+        ({"p.json": {"p-indirect": 0.8}}, ["run", SCENARIO, "--params", "p.json"]),
         # a template names only its kind and scope: the target, the reroute's
         # avoid list and the ticket's delay come from the diagnosis and the
         # scenario
@@ -492,7 +505,7 @@ NO_TARGET = _scenario_doc(faults=[{"class": "physical-failure", "at-tick": 2}])
         *(
             ({"p.json": doc}, ["run", SCENARIO, "--params", "p.json"])
             for doc in (
-                {"leak": True}, {"p-direct": "0.9"}, {"p-indirect": False},
+                {"leak": True}, {"p-direct": "0.9"}, {"p-direct": False},
                 {"priors": {"physical-failure": "0.01"}},
             )
         ),
@@ -634,7 +647,7 @@ _VALID_DOCUMENTS = {
     ),
     "parameters": (
         {"priors": {fc.value: 0.02 for fc in FaultClass}, "p-direct": 0.9,
-         "p-indirect": 0.7, "leak": 0.002, "include-hosts": False},
+         "leak": 0.002, "include-hosts": False},
         "p.json", ["run", SCENARIO, "--params", "p.json"],
     ),
     "strategy": (_t1_strategy_doc(), "s.json", ["run", SCENARIO, "--strategy", "s.json"]),
@@ -821,10 +834,14 @@ def test_the_command_line_runs_without_dataclasses(tmp_path):
 
 
 def test_a_wide_component_imports_numpy_and_gives_its_pairs(tmp_path):
-    """T1's service-down and SLA findings share eight faults: above
-    MAX_FLOAT_SHARED_FAULTS, so the call imports numpy, and `diagnose`
-    prints the marginals that conditioning in numpy arrays gives."""
-    evidence = {"symptom:service-down:v1": True, "symptom:sla-violation:v1": True}
+    """T1's service-down finding and the link-down findings of its three
+    links share five faults: above MAX_FLOAT_SHARED_FAULTS, so the call
+    imports numpy, and `diagnose` prints the marginals that conditioning in
+    numpy arrays gives."""
+    evidence = {
+        "symptom:service-down:v1": True,
+        **{f"symptom:link-down:{link}": True for link in ("la", "l1", "lb")},
+    }
     script = """
 import json, sys
 from pathlib import Path

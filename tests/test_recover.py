@@ -162,11 +162,10 @@ def test_reroute_targets_are_the_services_the_fault_affects(seed, n_nodes):
         fault_class, target = bndiag.parse_fault_var(fid)
         if fault_class not in rerouted_classes:
             continue
-        direct, indirect = taxonomy.effects(topo, fault_class, target)
         affected = sorted(
             {
                 emitter
-                for symptom, emitter in direct + indirect
+                for symptom, emitter in taxonomy.effects(topo, fault_class, target)
                 if symptom in (Symptom.SERVICE_DOWN, Symptom.SLA_VIOLATION)
             }
         )
