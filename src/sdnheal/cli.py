@@ -45,11 +45,6 @@ def _load(path: str | Path, what: str, parse: Callable[[object], T]) -> T:
         return parse(doc)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    except (KeyError, TypeError, AttributeError) as exc:
-        # what a parser raises on a document of the wrong shape
-        raise _InputError(
-            f"malformed {what} {path}: {type(exc).__name__}: {exc}"
-        ) from exc
 
 
 _read = Reader(_InputError)
@@ -137,13 +132,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> None:
     evidence = _load(args.evidence, "evidence document", functools.partial(_evidence_map, bn))
     posterior = bndiag.posterior_marginals(bn, evidence)
     diagnosis = bndiag.map_diagnosis(posterior, args.threshold, bn.priors)
-    doc = {
-        "verdict": diagnosis.verdict.value,
-        "threshold": diagnosis.threshold,
-        "ranked": [[fid, p] for fid, p in diagnosis.ranked],
-        "posterior": dict(sorted(posterior.marginals.items())),
-    }
-    sys.stdout.write(healloop.render_json(doc))
+    doc = healloop.diagnosis_to_dict(posterior, diagnosis)
+    sys.stdout.write(healloop.render_json({**doc["diagnosis"], "posterior": doc["posterior"]}))
 
 
 def _cmd_run(args: argparse.Namespace) -> None:

@@ -24,13 +24,18 @@ nothing else once the network, the evidence policy and the threshold are
 fixed, and they are for the whole run, so a window seen before with the
 same suppressed keys reuses its evidence, posterior and diagnosis
 exactly instead of running inference again. The memo belongs to the
-network it was built for (`_Diagnoser`); a rebuilt network starts an
-empty one.
+network it was built for (`_Diagnoser`), built once per run from the
+scenario's initial topology: nothing rebuilds it after a reroute.
+
+An incident record stores what happened. What follows from that
+(`executed`, `recovered`, the detection and diagnosis latencies, and a
+report's metrics) is a property, so a record cannot disagree with itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -76,7 +81,7 @@ class LoopConfig(Frozen, _LoopConfig):
         return config
 
 
-class _IncidentRecord(NamedTuple):
+class IncidentRecord(NamedTuple):
     detected_at: int
     diagnosed_at: int
     injected_faults: tuple[FaultEvent, ...]
@@ -86,21 +91,25 @@ class _IncidentRecord(NamedTuple):
     diagnosis: Diagnosis
     plan: tuple[RecoveryAction, ...]
     outcomes: tuple[ActionOutcome, ...]
-    executed: bool
-    recovered: bool
-    detection_latency: int | None
-    diagnosis_latency: int
     recovery_latency: int | None
 
+    @property
+    def executed(self) -> bool:
+        return bool(self.outcomes)  # a plan is never empty
 
-class IncidentRecord(Frozen, _IncidentRecord):
-    __slots__ = ()
+    @property
+    def recovered(self) -> bool:
+        return self.recovery_latency is not None
 
-    def __new__(cls, *args, **kwargs) -> IncidentRecord:
-        record = super().__new__(cls, *args, **kwargs)
-        if record.recovered and record.recovery_latency is None:
-            raise LoopError("recovered incident must carry a recovery latency")
-        return record
+    @property
+    def detection_latency(self) -> int | None:
+        # the ground truth holds only faults injected by now, latest last
+        injected = self.injected_faults
+        return self.detected_at - injected[-1].at_tick if injected else None
+
+    @property
+    def diagnosis_latency(self) -> int:
+        return self.diagnosed_at - self.detected_at
 
 
 class RunReport(NamedTuple):
@@ -109,10 +118,13 @@ class RunReport(NamedTuple):
     horizon: int
     records: tuple[IncidentRecord, ...]
     alarm_log: tuple[Alarm, ...]
-    metrics: dict
     params: BnParams
     config: LoopConfig
     table: StrategyTable
+
+    @property
+    def metrics(self) -> dict:
+        return compute_metrics(self.records, self.alarm_log)
 
 
 class _Driver:
@@ -235,7 +247,6 @@ def run_loop(
         horizon=scenario.horizon,
         records=tuple(records),
         alarm_log=tuple(driver.alarm_log),
-        metrics=compute_metrics(records, driver.alarm_log),
         params=params,
         config=config,
         table=table,
@@ -292,12 +303,6 @@ def _handle_incident(
         diagnosis=diagnosis,
         plan=plan,
         outcomes=outcomes,
-        # a plan is never empty, so an executed one has an outcome
-        executed=bool(outcomes),
-        recovered=recovery_latency is not None,
-        # the ground truth holds only faults injected by now, latest last
-        detection_latency=detected_at - injected[-1].at_tick if injected else None,
-        diagnosis_latency=diagnosed_at - detected_at,
         recovery_latency=recovery_latency,
     )
 
@@ -340,7 +345,7 @@ def _mean(values: list) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def compute_metrics(records: list[IncidentRecord], alarm_log: list[Alarm]) -> dict:
+def compute_metrics(records: Sequence[IncidentRecord], alarm_log: Sequence[Alarm]) -> dict:
     """Derive run metrics; recomputable from the report content alone."""
     return {
         "incidents": len(records),
@@ -363,19 +368,15 @@ def batch_metrics(reports: list[RunReport]) -> dict:
         raise LoopError("batch_metrics needs at least one report")
     records = [r for report in reports for r in report.records]
     pooled = compute_metrics(records, [a for rep in reports for a in rep.alarm_log])
-    per_class: dict[str, dict] = {}
+    per_class: dict[str, list[IncidentRecord]] = {}
     for record in records:
         classes = sorted({f.fault_class.value for f in record.injected_faults})
-        label = classes[0] if len(classes) == 1 else ("+".join(classes) or "none")
-        per_class.setdefault(label, []).append(record)
+        per_class.setdefault("+".join(classes) or "none", []).append(record)
+    keys = ("incidents", "map-accuracy", "top3-accuracy", "recovered-incidents")
     breakdown = {}
     for label, group in sorted(per_class.items()):
-        breakdown[label] = {
-            "incidents": len(group),
-            "map-accuracy": sum(1 for r in group if map_hit(r)) / len(group),
-            "top3-accuracy": sum(1 for r in group if top3_hit(r)) / len(group),
-            "recovered-incidents": sum(1 for r in group if r.recovered),
-        }
+        metrics = compute_metrics(group, ())
+        breakdown[label] = {key: metrics[key] for key in keys}
     return {"reports": len(reports), "pooled": pooled, "per-fault-class": breakdown}
 
 
@@ -491,6 +492,19 @@ def _alarm_to_dict(alarm: Alarm) -> dict:
     }
 
 
+def diagnosis_to_dict(posterior: Posterior, diagnosis: Diagnosis) -> dict:
+    """The posterior map and the verdict/threshold/ranked block, as an
+    incident record and the `diagnose` command both write them."""
+    return {
+        "posterior": dict(sorted(posterior.marginals.items())),
+        "diagnosis": {
+            "verdict": diagnosis.verdict.value,
+            "threshold": diagnosis.threshold,
+            "ranked": [[fid, p] for fid, p in diagnosis.ranked],
+        },
+    }
+
+
 def record_to_dict(record: IncidentRecord) -> dict:
     return {
         "detected-at": record.detected_at,
@@ -501,12 +515,7 @@ def record_to_dict(record: IncidentRecord) -> dict:
         ],
         "alarms": [_alarm_to_dict(a) for a in record.alarms],
         "evidence": dict(sorted(record.evidence.items())),
-        "posterior": dict(sorted(record.posterior.marginals.items())),
-        "diagnosis": {
-            "verdict": record.diagnosis.verdict.value,
-            "threshold": record.diagnosis.threshold,
-            "ranked": [[fid, p] for fid, p in record.diagnosis.ranked],
-        },
+        **diagnosis_to_dict(record.posterior, record.diagnosis),
         "plan": [_action_to_dict(a) for a in record.plan],
         "outcomes": [
             {

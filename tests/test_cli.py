@@ -8,7 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 from unittest import mock
 
@@ -707,6 +707,81 @@ def test_topology_fields_are_typed_but_unknown_keys_load(docdir, data):
         assert status == 0, (path, err)
     else:
         assert status == 1 and err.startswith("error: "), (path, value, err)
+
+
+# Any JSON value, up to a few levels deep.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc` after one to three edits, each at any value it holds: replace
+    it with any JSON value or with another of the document's own values,
+    delete it, or add one of the document's keys (or any key) to an object."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        keys = sorted({key for path, _ in paths for key in path if isinstance(key, str)})
+        path, value = draw(st.sampled_from(paths))
+        edit = draw(st.sampled_from(["replace", "transplant", "delete", "add"]))
+        if edit == "add" and isinstance(value, dict):
+            key = draw(st.sampled_from(keys) | st.text(max_size=4)) if keys else ""
+            value[key] = draw(_JSON)
+            continue
+        if edit == "delete" and path:
+            del reduce(operator.getitem, path[:-1], doc)[path[-1]]
+            continue
+        new = draw(st.sampled_from(paths))[1] if edit == "transplant" else draw(_JSON)
+        new = copy.deepcopy(new)
+        if path:
+            reduce(operator.getitem, path[:-1], doc)[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+# Per document parser: the valid document it is given mutated, the parser,
+# and the exceptions it may raise. A scenario holds its topology inline.
+_T1_DOC = json.loads((DATA_DIR / "t1.topology.json").read_text())
+_T1_NETWORK = bndiag.build_bn(netmodel.load_topology(_T1_DOC))
+_PARSERS = {
+    "topology": (_T1_DOC, netmodel.load_topology, netmodel.TopologyError),
+    "scenario": (
+        {**_VALID_DOCUMENTS["scenario"][0], "topology": _T1_DOC},
+        simkernel.load_scenario, (simkernel.SimError, netmodel.TopologyError),
+    ),
+    "network": (
+        json.loads(json.dumps(bndiag.bn_to_dict(_T1_NETWORK))),
+        bndiag.bn_from_dict, bndiag.BnError,
+    ),
+    "strategy": (_t1_strategy_doc(), recover.strategy_table_from_dict, recover.PlanError),
+    "parameters": (_VALID_DOCUMENTS["parameters"][0], bndiag.params_from_dict, bndiag.BnError),
+    "evidence": (
+        {"symptom:link-down:l1": True, "symptom:service-down:v1": False},
+        partial(cli._evidence_map, _T1_NETWORK), cli._InputError,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_parser_raises_only_its_own_error(kind, data):
+    """Whatever shape a document takes, its parser returns or raises its
+    own error, which `cli` reports as an input error; never a KeyError,
+    TypeError or AttributeError from reading a wrongly shaped value."""
+    doc, parse, error = _PARSERS[kind]
+    parse(copy.deepcopy(doc))
+    mutated = data.draw(_mutated(doc))
+    try:
+        parse(mutated)
+    except error:
+        pass
 
 
 def test_run_echoes_policy_flag_as_override(workdir):

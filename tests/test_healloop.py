@@ -19,7 +19,6 @@ from sdnheal.healloop import (
     LoopConfig,
     LoopError,
     batch_metrics,
-    compute_metrics,
     emit_report,
     render_json,
     run_loop,
@@ -438,17 +437,53 @@ def test_loop_config_validation():
 # metrics and reports
 
 
-def test_metrics_recompute_from_records(t1):
-    scenario = scenario_for(
-        t1,
-        faults=[
-            FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2),
-            FaultEvent("v1", FaultClass.SERVICE_FAULT, 8),
-        ],
-        horizon=14,
-    )
-    report = run_loop(scenario)
-    assert compute_metrics(list(report.records), list(report.alarm_log)) == report.metrics
+def _metrics_of_document(doc: dict) -> dict:
+    """A report's metrics, derived again from its records and alarm log."""
+    records = doc["records"]
+
+    def accuracy(k):
+        hits = 0
+        for r in records:
+            truth = {bndiag.fault_var_id(FaultClass(f["class"]), f["target"])
+                     for f in r["injected-faults"]}
+            ranking = sorted(r["posterior"].items(), key=lambda item: (-item[1], item[0]))
+            hits += any(fid in truth for fid, _ in ranking[:k])
+        return hits / len(records) if records else None
+
+    def mean(kind):
+        values = [r["latencies"][kind] for r in records if r["latencies"][kind] is not None]
+        return sum(values) / len(values) if values else None
+
+    return {
+        "incidents": len(records),
+        "recovered-incidents": sum(r["recovered"] for r in records),
+        "map-accuracy": accuracy(1),
+        "top3-accuracy": accuracy(3),
+        "mean-detection-latency": mean("detection"),
+        "mean-diagnosis-latency": mean("diagnosis"),
+        "mean-recovery-latency": mean("recovery"),
+        "alarm-counts": {
+            "translated": len(doc["alarm-log"]),
+            "windowed": sum(len(r["alarms"]) for r in records),
+        },
+    }
+
+
+@pytest.mark.parametrize("policy", list(EvidencePolicy))
+def test_report_metrics_recompute_from_the_document_alone(t1, policy):
+    """A report explains itself: each record's derived fields follow from its
+    facts, and the run's metrics from the records and the alarm log."""
+    config = LoopConfig(evidence_policy=policy)
+    doc = json.loads(emit_report(run_loop(noisy_three_fault_scenario(t1), config=config)))
+    assert len(doc["records"]) > 1
+    for r in doc["records"]:
+        latest = max((f["at-tick"] for f in r["injected-faults"]), default=None)
+        assert r["executed"] is bool(r["outcomes"])
+        assert r["recovered"] is (r["latencies"]["recovery"] is not None)
+        detection = None if latest is None else r["detected-at"] - latest
+        assert r["latencies"]["detection"] == detection
+        assert r["latencies"]["diagnosis"] == r["diagnosed-at"] - r["detected-at"]
+    assert doc["metrics"] == _metrics_of_document(doc)
 
 
 def fabricate_record(injected_target, map_target, recovered=True) -> IncidentRecord:
@@ -466,10 +501,6 @@ def fabricate_record(injected_target, map_target, recovered=True) -> IncidentRec
         diagnosis=Diagnosis(ranked=((map_id, 0.9),), verdict=Verdict.CONFIDENT, threshold=0.5),
         plan=(),
         outcomes=(),
-        executed=True,
-        recovered=recovered,
-        detection_latency=0,
-        diagnosis_latency=0,
         recovery_latency=1 if recovered else None,
     )
 
@@ -481,7 +512,6 @@ def fabricate_report(records) -> healloop.RunReport:
         horizon=10,
         records=tuple(records),
         alarm_log=(),
-        metrics=compute_metrics(list(records), []),
         params=BnParams(),
         config=LoopConfig(),
         table=recover.default_strategy_table(),
