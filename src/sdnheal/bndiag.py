@@ -62,9 +62,9 @@ from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .docread import Reader
-from .netmodel import NodeKind, Topology
+from .netmodel import Topology
 from .records import Frozen
-from .taxonomy import FaultClass, Symptom, effects, symptom_vocabulary
+from .taxonomy import FaultClass, Symptom, effects, fault_targets, symptom_vocabulary
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,8 +170,6 @@ class _BnParams(NamedTuple):
     prior_drop: float = 0.02
     p_direct: float = 0.95
     leak: float = 0.001
-    # Not a key of parameter documents: diagnosis uses the loop's threshold.
-    threshold: float = 0.5
     include_hosts: bool = False
 
 
@@ -179,6 +177,7 @@ class BnParams(Frozen, _BnParams):
     """Network parameters. All values are artifact defaults, not measured."""
 
     __slots__ = ()
+    threshold = 0.5  # read by diagnose-desk only; ROADMAP item 8 removes it
 
     def __new__(cls, *args, **kwargs) -> BnParams:
         params = super().__new__(cls, *args, **kwargs)
@@ -190,8 +189,6 @@ class BnParams(Frozen, _BnParams):
             value = getattr(params, name)
             if not 0.0 <= value <= 1.0:
                 raise BnError(f"{name.replace('_', '-')} out of [0,1]: {value}")
-        if not 0.0 < params.threshold < 1.0:
-            raise BnError(f"threshold must be in (0,1): {params.threshold}")
         return params
 
 
@@ -228,30 +225,26 @@ def params_from_dict(doc: dict) -> BnParams:
 def build_bn(t: Topology, params: BnParams = BnParams()) -> BayesNet:
     """Derive the diagnosis network from a topology and its services.
 
-    Fault variables: a physical failure per link and per non-host node
-    (hosts are outside the repair domain unless include_hosts is set), a
-    traffic-drop fault per link, an agent crash per OpenFlow switch, one
-    controller crash, and one service fault per service. Symptom variables
-    mirror the monitored alarm vocabulary. Each fault's edges are the
-    alarms it raises in the propagation table (`taxonomy.effects`), every
-    one at p_direct. Construction is deterministic.
+    Fault variables: one per fault class and target the class can strike
+    (`taxonomy.fault_targets`); hosts are outside the repair domain unless
+    include_hosts is set. Symptom variables mirror the monitored alarm
+    vocabulary. Each fault's edges are the alarms it raises in the
+    propagation table (`taxonomy.effects`), every one at p_direct.
+    Construction is deterministic.
     """
-    nodes = [n for n in t.nodes if params.include_hosts or n.kind is not NodeKind.HOST]
-    links = [l.id for l in t.links]
-    switches = [n.id for n in nodes if n.kind is NodeKind.OPENFLOW_SWITCH]
-    faults = [  # (class, targets, prior), in network order
-        (FaultClass.PHYSICAL_FAILURE, [n.id for n in nodes] + links, params.prior_physical),
-        (FaultClass.INTERFACE_TRAFFIC_DROP, links, params.prior_drop),
-        (FaultClass.OPENFLOW_AGENT_CRASH, switches, params.prior_agent),
-        (FaultClass.CONTROLLER_CRASH, [t.controller_id], params.prior_controller),
-        (FaultClass.SERVICE_FAULT, [s.id for s in t.services], params.prior_service),
+    faults = [  # (class, prior), in network order
+        (FaultClass.PHYSICAL_FAILURE, params.prior_physical),
+        (FaultClass.INTERFACE_TRAFFIC_DROP, params.prior_drop),
+        (FaultClass.OPENFLOW_AGENT_CRASH, params.prior_agent),
+        (FaultClass.CONTROLLER_CRASH, params.prior_controller),
+        (FaultClass.SERVICE_FAULT, params.prior_service),
     ]
 
     priors: dict[str, float] = {}
     variables: list[BnVariable] = []
-    for fc, targets, prior in faults:
+    for fc, prior in faults:
         prefix = fault_var_id(fc, "")
-        for target in targets:
+        for target in fault_targets(t, fc, params.include_hosts):
             vid = prefix + target
             priors[vid] = prior
             variables.append(_new(BnVariable, (vid, "fault", target, fc, None)))

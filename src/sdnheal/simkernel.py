@@ -16,10 +16,10 @@ or any action that changes neither) starts with that state's cached
 alarms (`symptoms` and their sorted `alarm_keys`) and `down` set, so
 only an event pays for `taxonomy.effects`.
 
-In stochastic mode each alarm is independently dropped with the
-configured loss probability and spurious alarms are drawn
-(Poisson-distributed per tick) uniformly from the topology's symptom
-vocabulary, which is computed once per scenario (`Scenario.vocabulary`).
+Under noise each alarm is independently dropped with the configured
+loss probability and spurious alarms are drawn (Poisson-distributed per
+tick) uniformly from the topology's symptom vocabulary, which is
+computed once per scenario (`Scenario.vocabulary`).
 
 Every draw is a keyed uniform (`_uniform`): a pure function of the
 scenario seed, the tick, the draw's purpose and its key, as a
@@ -27,7 +27,7 @@ counter-based generator computes it (Salmon et al., *Parallel random
 numbers: as easy as 1, 2, 3*, SC'11). So a state is a plain value with
 no generator in it: stepping any state again gives an equal successor
 and the same alarms, and a symptom's loss does not depend on which other
-alarms fire that tick. A deterministic run draws nothing.
+alarms fire that tick. A run whose two rates are 0 draws nothing.
 
 A `Scenario` keeps its faults sorted by (tick, target) and is validated
 when it is built, however it is built. The module does no file I/O:
@@ -68,7 +68,6 @@ class NoiseMode(str, Enum):
 
 
 class _NoiseConfig(NamedTuple):
-    mode: NoiseMode = NoiseMode.DETERMINISTIC
     alarm_loss_probability: float = 0.0
     spurious_alarm_rate: float = 0.0
 
@@ -87,10 +86,6 @@ class NoiseConfig(Frozen, _NoiseConfig):
                 f"spurious-alarm-rate out of [0,{MAX_SPURIOUS_RATE:g}]: "
                 f"{noise.spurious_alarm_rate}"
             )
-        if noise.mode is NoiseMode.DETERMINISTIC and (
-            noise.alarm_loss_probability or noise.spurious_alarm_rate
-        ):
-            raise SimError("deterministic mode forces loss and spurious rates to 0")
         return noise
 
 
@@ -198,15 +193,18 @@ def load_scenario(doc: dict) -> Scenario:
         for entry in _read.objects(doc.get("faults", []), "fault", _FAULT_KEYS)
     ]
     noise = _read.object(doc.get("noise", {}), "noise", _NOISE_KEYS)
-    mode = noise.get("mode", "deterministic")
+    topology = netmodel.load_topology(doc.get("topology"))
+    mode = _read.member(NoiseMode, noise.get("mode", "deterministic"), "unknown noise mode")
+    rates = NoiseConfig(
+        _read.number(noise.get("alarm-loss-probability", 0.0), "alarm-loss-probability"),
+        _read.number(noise.get("spurious-alarm-rate", 0.0), "spurious-alarm-rate"),
+    )
+    if mode is NoiseMode.DETERMINISTIC and any(rates):  # the mode must agree
+        raise SimError("deterministic mode forces loss and spurious rates to 0")
     return Scenario(
-        netmodel.load_topology(doc.get("topology")),
+        topology,
         tuple(faults),
-        NoiseConfig(
-            _read.member(NoiseMode, mode, "unknown noise mode"),
-            _read.number(noise.get("alarm-loss-probability", 0.0), "alarm-loss-probability"),
-            _read.number(noise.get("spurious-alarm-rate", 0.0), "spurious-alarm-rate"),
-        ),
+        rates,
         _read.integer(doc.get("seed", 0), "seed"),
         _read.integer(doc.get("horizon", 100), "horizon"),
         _read.integer(doc.get("repair-delay", DEFAULT_REPAIR_DELAY), "repair-delay"),
@@ -218,6 +216,8 @@ def _validate_scenario(s: Scenario) -> None:
         raise SimError(f"horizon must be 1 to {MAX_HORIZON} ticks: {s.horizon}")
     if s.repair_delay < 1:
         raise SimError(f"repair-delay must be >= 1 tick: {s.repair_delay}")
+    classes = {fault.fault_class for fault in s.faults}  # each class's targets, once
+    targets = {fc: frozenset(taxonomy.fault_targets(s.topology, fc)) for fc in classes}
     for fault in s.faults:
         if fault.at_tick < 0:
             raise SimError(f"fault at-tick negative: {fault.target}")
@@ -226,7 +226,7 @@ def _validate_scenario(s: Scenario) -> None:
                 f"fault at tick {fault.at_tick} on {fault.target} is outside "
                 f"horizon {s.horizon}"
             )
-        if not taxonomy.is_compatible(s.topology, fault.target, fault.fault_class):
+        if fault.target not in targets[fault.fault_class]:
             raise SimError(
                 f"fault class {fault.fault_class.value} incompatible with "
                 f"target {fault.target}"
@@ -314,7 +314,7 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
         repair_tickets=tickets,
         next_fault_index=index,
     )
-    # a deterministic scenario's rates are 0, so only a stochastic one draws
+    # a noiseless scenario's rates are 0, so it draws nothing
     seed, noise = scenario.seed, scenario.noise
     loss, rate = noise.alarm_loss_probability, noise.spurious_alarm_rate
     emitted = new_state.alarm_keys
@@ -398,8 +398,8 @@ def apply_action(
     if netmodel.component_category(topology, action.target) is None:
         raise SimError(f"unknown action target: {action.target}")
     fault_class = TARGET_CLASS.get(action.kind)
-    if fault_class is not None and not taxonomy.is_compatible(
-        topology, action.target, fault_class
+    if fault_class is not None and action.target not in taxonomy.fault_targets(
+        topology, fault_class
     ):
         raise SimError(
             f"{action.kind.value} target is not {_TARGET_NAMES[fault_class]}: "

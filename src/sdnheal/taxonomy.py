@@ -92,6 +92,26 @@ def symptom_vocabulary(
     return out
 
 
+def fault_targets(
+    topology: Topology, fault_class: FaultClass, include_hosts: bool = True
+) -> list[str]:
+    """The ids a fault of the class can strike, nodes before links, in
+    `Topology` order. A scenario may fail a host; the diagnosis network
+    leaves hosts out unless it sets `include_hosts`, as its vocabulary does.
+    """
+    if fault_class is _PHYSICAL_FAILURE:
+        nodes = [n.id for n in topology.nodes if include_hosts or n.kind is not _HOST]
+        return nodes + [l.id for l in topology.links]
+    if fault_class is _INTERFACE_TRAFFIC_DROP:
+        return [l.id for l in topology.links]
+    if fault_class is _OPENFLOW_AGENT_CRASH:
+        return [n.id for n in topology.nodes if n.kind is _SWITCH]
+    if fault_class is _SERVICE_FAULT:
+        return [v.id for v in topology.services]
+    # controller crash
+    return [n.id for n in topology.nodes if n.kind is NodeKind.CONTROLLER]
+
+
 Effect = tuple[Symptom, str]  # (symptom, emitter)
 
 
@@ -136,20 +156,3 @@ def effects(topology: Topology, fault_class: FaultClass, target: str) -> list[Ef
         return [(_SERVICE_DOWN, target)]
     # controller crash
     return [(_OF_SESSION_LOST, n.id) for n in topology.nodes if n.kind is _SWITCH]
-
-
-def is_compatible(topology: Topology, target: str, fault: FaultClass) -> bool:
-    kind = netmodel.component_category(topology, target)
-    if kind is None:
-        return False
-    if fault is FaultClass.PHYSICAL_FAILURE:
-        return kind in ("node", "link")
-    if fault is FaultClass.SERVICE_FAULT:
-        return kind == "service"
-    if fault is FaultClass.OPENFLOW_AGENT_CRASH:
-        return kind == "node" and topology.node(target).kind is NodeKind.OPENFLOW_SWITCH
-    if fault is FaultClass.INTERFACE_TRAFFIC_DROP:
-        return kind == "link"
-    if fault is FaultClass.CONTROLLER_CRASH:
-        return kind == "node" and topology.node(target).kind is NodeKind.CONTROLLER
-    return False

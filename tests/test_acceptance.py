@@ -20,7 +20,7 @@ from sdnheal.alarmpipe import EvidencePolicy
 from sdnheal.bndiag import enumerate_joint, posterior_marginals
 from sdnheal.cli import main
 from sdnheal.healloop import LoopConfig, run_loop
-from sdnheal.simkernel import FaultEvent, NoiseConfig, NoiseMode, Scenario
+from sdnheal.simkernel import FaultEvent, NoiseConfig, Scenario
 from sdnheal.taxonomy import FaultClass
 
 from conftest import DATA_DIR, make_bn2, random_evidence, random_noisy_or_bn
@@ -134,7 +134,6 @@ def test_criterion_4_noise_robustness():
     pool = [(fc, t) for fc, targets in T1_TARGETS.items() for t in targets]
     rng = random.Random(505)
     noise = NoiseConfig(
-        mode=NoiseMode.STOCHASTIC,
         alarm_loss_probability=0.05,
         spurious_alarm_rate=0.01,
     )

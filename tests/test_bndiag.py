@@ -298,8 +298,6 @@ def test_params_validate_ranges():
         BnParams(prior_physical=0.0)
     with pytest.raises(BnError, match="p-direct"):
         BnParams(p_direct=1.5)
-    with pytest.raises(BnError, match="threshold"):
-        BnParams(threshold=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -794,6 +794,26 @@ def test_run_echoes_policy_flag_as_override(workdir):
     assert loop["threshold"] == {"value": 0.5, "source": "default"}
 
 
+def test_run_echoes_the_threshold_once_as_a_loop_setting(workdir):
+    # diagnosis reads only the loop's threshold, so the network echoes none
+    out = workdir / "report.json"
+    argv = ["run", str(workdir / SCENARIO), "--threshold", "0.9", "--out", str(out)]
+    assert main(argv) == 0
+    parameters = json.loads(out.read_text())["parameters"]
+    assert parameters["loop"]["threshold"] == {"value": 0.9, "source": "override"}
+    assert "threshold" not in parameters["bn"]
+
+
+def test_deterministic_noise_with_a_loss_exits_1(workdir, capsys):
+    # the simulator reads only the two rates; a document's mode must agree
+    path = workdir / "x.scenario.json"
+    noise = {"mode": "deterministic", "alarm-loss-probability": 0.1}
+    path.write_text(json.dumps(_scenario_doc(noise=noise)))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: deterministic mode forces loss and spurious rates to 0\n"
+
+
 def test_run_flags_do_not_carry_over_to_the_next_call(workdir):
     """The parser is kept between calls; a call's flags must not leak."""
     first, second = workdir / "first.json", workdir / "second.json"

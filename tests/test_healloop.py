@@ -24,7 +24,7 @@ from sdnheal.healloop import (
     run_loop,
 )
 from sdnheal.recover import ActionKind, OutcomeStatus
-from sdnheal.simkernel import FaultEvent, NoiseConfig, NoiseMode, Scenario
+from sdnheal.simkernel import FaultEvent, NoiseConfig, Scenario
 from sdnheal.taxonomy import FaultClass
 
 from topogen import random_topology
@@ -185,7 +185,6 @@ def test_run_loop_deterministic_across_calls(t1):
         t1,
         faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 2)],
         noise=NoiseConfig(
-            mode=NoiseMode.STOCHASTIC,
             alarm_loss_probability=0.1,
             spurious_alarm_rate=0.2,
         ),
@@ -207,7 +206,6 @@ def noisy_three_fault_scenario(t1) -> Scenario:
             FaultEvent("v1", FaultClass.SERVICE_FAULT, 16),
         ],
         noise=NoiseConfig(
-            mode=NoiseMode.STOCHASTIC,
             alarm_loss_probability=0.2,
             spurious_alarm_rate=0.4,
         ),
@@ -219,11 +217,13 @@ def noisy_three_fault_scenario(t1) -> Scenario:
 
 # Recorded when the simulator's draws became keyed uniforms, a reroute went
 # on to its repair ticket and closed-world evidence left suppressed
-# symptoms unobserved, and again when the network's edges became the
-# alarms a fault raises; the reports must not move.
+# symptoms unobserved, again when the network's edges became the alarms a
+# fault raises, and again when the network parameters stopped echoing a
+# threshold (the earlier reports, with that key dropped, hash to these);
+# the reports must not move.
 NOISY_REPORT_SHA1 = {
-    EvidencePolicy.CLOSED_WORLD: "9a93bfb0ff79fe542d44d3c4633a2de49e6b7739",
-    EvidencePolicy.OPEN_WORLD: "66bd047ac9668e7ac3ade2ff2093b8d1a8678b92",
+    EvidencePolicy.CLOSED_WORLD: "7bc6e7b854c5724d4272f1b71ae805113bda0f68",
+    EvidencePolicy.OPEN_WORLD: "c3b7a94d4c07aa44b422fe19946ce57de24569da",
 }
 
 
@@ -242,12 +242,10 @@ def overlapping_topogen_scenario(
     topology = random_topology(
         seed, n_nodes=n_nodes, n_services=3, max_path_links=max_path_links
     )
-    components = (*topology.nodes, *topology.links, *topology.services)
     compatible = [
-        (c.id, fault_class)
+        (target, fault_class)
         for fault_class in FaultClass
-        for c in components
-        if taxonomy.is_compatible(topology, c.id, fault_class)
+        for target in taxonomy.fault_targets(topology, fault_class)
     ]
     rng = random.Random(f"pinned-loop|{seed}")
     ticks = (3, 4, 20, 21, 22, 45, 60, 61)
@@ -259,7 +257,6 @@ def overlapping_topogen_scenario(
         topology=topology,
         faults=faults,
         noise=NoiseConfig(
-            mode=NoiseMode.STOCHASTIC,
             alarm_loss_probability=0.15,
             spurious_alarm_rate=0.1,
         ),
@@ -271,11 +268,13 @@ def overlapping_topogen_scenario(
 
 # Recorded when the simulator's draws became keyed uniforms, a reroute went
 # on to its repair ticket and closed-world evidence left suppressed
-# symptoms unobserved, and again when the network's edges became the
-# alarms a fault raises; the reports must not move.
+# symptoms unobserved, again when the network's edges became the alarms a
+# fault raises, and again when the network parameters stopped echoing a
+# threshold (the earlier reports, with that key dropped, hash to these);
+# the reports must not move.
 TOPOGEN_REPORTS_SHA1 = {
-    EvidencePolicy.CLOSED_WORLD: "023de4790f57c80c8ac0a05637310e0fe43e709e",
-    EvidencePolicy.OPEN_WORLD: "69a4f4cd13376257eae6efdb8f2905d41a65a0dd",
+    EvidencePolicy.CLOSED_WORLD: "c567e054d383b49fbc683c8c57558fc0dcf4d126",
+    EvidencePolicy.OPEN_WORLD: "bc6529f19ca7b9d7c8f2593a6022b6207ba1a03c",
 }
 
 
@@ -305,9 +304,11 @@ def test_topogen_loop_reports_pinned(policy):
 
 # Recorded when the simulator's draws became keyed uniforms, a reroute went
 # on to its repair ticket and closed-world evidence left suppressed
-# symptoms unobserved, and again when the network's edges became the
-# alarms a fault raises; the reports must not move.
-LOOP_CONFIGURATIONS_SHA1 = "8d1209489f165f636f28b9566e3079111a6239bb"
+# symptoms unobserved, again when the network's edges became the alarms a
+# fault raises, and again when the network parameters stopped echoing a
+# threshold (the earlier reports, with that key dropped, hash to these);
+# the reports must not move.
+LOOP_CONFIGURATIONS_SHA1 = "7c31644fd659cccfc9d3dd53c5e5f26e274c3e4a"
 
 
 def test_loop_configurations_pinned(t1):

@@ -91,7 +91,7 @@ def test_a_record_is_immutable(name):
 @pytest.mark.parametrize("name, changes, error", [
     ("LoopConfig", {"threshold": 1.0}, LoopError),
     ("BnParams", {"p_direct": 1.5}, BnError),
-    ("NoiseConfig", {"alarm_loss_probability": 0.1}, SimError),
+    ("NoiseConfig", {"alarm_loss_probability": 1.5}, SimError),
     ("ActionOutcome", {"status": OutcomeStatus.FAILURE, "detail": ""}, ValueError),
     ("StrategyTable", {"entries": {}}, PlanError),
     ("ActionTemplate", {"scope": "everything"}, PlanError),

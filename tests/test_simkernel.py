@@ -13,7 +13,6 @@ from sdnheal.recover import ActionKind, OutcomeStatus, RecoveryAction
 from sdnheal.simkernel import (
     FaultEvent,
     NoiseConfig,
-    NoiseMode,
     Scenario,
     SimError,
     SimState,
@@ -63,9 +62,7 @@ def test_init_sim_clean_state(t1):
 
 
 def test_init_sim_seed_isolation(t1):
-    noise = NoiseConfig(
-        mode=NoiseMode.STOCHASTIC, alarm_loss_probability=0.5, spurious_alarm_rate=1.0
-    )
+    noise = NoiseConfig(alarm_loss_probability=0.5, spurious_alarm_rate=1.0)
     streams = []
     for seed in (7, 8):
         state = simkernel.init_sim(
@@ -90,18 +87,13 @@ def test_init_sim_rejects_fault_outside_horizon(t1):
 def test_noise_config_bounds_the_spurious_rate(rate):
     # beyond 700 the Poisson inversion's first term exp(-rate) underflows
     with pytest.raises(SimError, match="spurious-alarm-rate out of"):
-        NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=rate)
+        NoiseConfig(spurious_alarm_rate=rate)
 
 
 def test_spurious_count_follows_the_rate_up_to_its_bound():
     for rate in (0.5, 2.0, 40.0, simkernel.MAX_SPURIOUS_RATE):
         counts = [simkernel._poisson((i + 0.5) / 400, rate) for i in range(400)]
         assert abs(sum(counts) / len(counts) - rate) <= 0.05 * rate + 0.01
-
-
-def test_noise_config_deterministic_forces_zero_rates():
-    with pytest.raises(SimError, match="deterministic"):
-        NoiseConfig(mode=NoiseMode.DETERMINISTIC, alarm_loss_probability=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +242,6 @@ def test_active_fault_re_emits_every_tick(t1):
 
 def test_step_determinism_stochastic(t1):
     noise = NoiseConfig(
-        mode=NoiseMode.STOCHASTIC,
         alarm_loss_probability=0.2,
         spurious_alarm_rate=0.5,
     )
@@ -286,7 +277,6 @@ STREAM_SHA1 = "1633bc46a12c7cadcf2724b832708e950918faeb"
 
 def test_stochastic_stream_pinned(t1):
     noise = NoiseConfig(
-        mode=NoiseMode.STOCHASTIC,
         alarm_loss_probability=0.5,
         spurious_alarm_rate=1.5,
     )
@@ -319,9 +309,7 @@ def keyed_uniform(seed: int, tick: int, purpose: str, key: str) -> float:
 
 
 def test_any_state_steps_again_to_an_equal_successor(t1):
-    noise = NoiseConfig(
-        mode=NoiseMode.STOCHASTIC, alarm_loss_probability=0.3, spurious_alarm_rate=1.0
-    )
+    noise = NoiseConfig(alarm_loss_probability=0.3, spurious_alarm_rate=1.0)
     scenario = scenario_for(
         t1, faults=[FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 1)], noise=noise,
         horizon=12,
@@ -345,7 +333,7 @@ def test_any_state_steps_again_to_an_equal_successor(t1):
 def test_loss_draw_does_not_depend_on_other_alarms(t1):
     """A symptom's loss is drawn on its own key, so l1's alarms are lost on
     the same ticks whether or not s3's agent crash fires beside them."""
-    noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, alarm_loss_probability=0.5)
+    noise = NoiseConfig(alarm_loss_probability=0.5)
     l1 = FaultEvent("l1", FaultClass.PHYSICAL_FAILURE, 0)
     s3 = FaultEvent("s3", FaultClass.OPENFLOW_AGENT_CRASH, 0)
     lost = []
@@ -369,7 +357,7 @@ def test_deterministic_states_step_again(t1):
 
 
 def test_spurious_alarms_appear_with_high_rate(t1):
-    noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, spurious_alarm_rate=2.0)
+    noise = NoiseConfig(spurious_alarm_rate=2.0)
     state = simkernel.init_sim(scenario_for(t1, noise=noise, seed=11))
     total = 0
     for _ in range(10):
@@ -428,7 +416,7 @@ def test_observe_service_unknown(t1):
 def test_observe_service_noise_flip(t1):
     # loss probability 1 flips every reading; probing stays repeatable
     # within a tick because it never draws from the stepping RNG
-    noise = NoiseConfig(mode=NoiseMode.STOCHASTIC, alarm_loss_probability=1.0)
+    noise = NoiseConfig(alarm_loss_probability=1.0)
     state = simkernel.init_sim(scenario_for(t1, noise=noise))
     assert simkernel.observe_service(state, "v1") is ServiceState.DOWN
     assert simkernel.observe_service(state, "v1") is ServiceState.DOWN
@@ -439,11 +427,8 @@ def test_observe_service_noise_flip(t1):
 def test_observe_service_matches_generative_table_for_all_single_faults(t1):
     """Deterministic mode: a down reading iff a service fault is active or a
     path component is down, exhaustively over single faults on T1."""
-    component_ids = [c.id for c in (*t1.nodes, *t1.links, *t1.services)]
     for fault_class in FaultClass:
-        for target in component_ids:
-            if not taxonomy.is_compatible(t1, target, fault_class):
-                continue
+        for target in taxonomy.fault_targets(t1, fault_class):
             state, _ = faulted(t1, (target, fault_class))
             reading = simkernel.observe_service(state, "v1")
             on_path = target in t1.service("v1").path
@@ -458,12 +443,10 @@ def test_observe_service_matches_generative_table_for_all_single_faults(t1):
 
 
 def _compatible_faults(topology):
-    components = (*topology.nodes, *topology.links, *topology.services)
     return [
-        (c.id, fault_class)
+        (target, fault_class)
         for fault_class in FaultClass
-        for c in components
-        if taxonomy.is_compatible(topology, c.id, fault_class)
+        for target in taxonomy.fault_targets(topology, fault_class)
     ]
 
 
@@ -791,7 +774,6 @@ def test_step_equals_the_reference_step_with_actions_between(seed, noise, data):
         noise_config = NoiseConfig()
     else:
         noise_config = NoiseConfig(
-            mode=NoiseMode.STOCHASTIC,
             alarm_loss_probability=noise[0],
             spurious_alarm_rate=noise[1],
         )

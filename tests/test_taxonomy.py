@@ -3,8 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnheal import netmodel, taxonomy
-from sdnheal.netmodel import Link, Service, Topology
+from sdnheal import bndiag, netmodel, taxonomy
+from sdnheal.bndiag import BnParams
+from sdnheal.netmodel import Link, NodeKind, Service, Topology
+from sdnheal.simkernel import FaultEvent, Scenario, SimError
 from sdnheal.taxonomy import FaultClass
 
 from topogen import random_topology
@@ -44,10 +46,38 @@ def test_effects_never_repeat_an_effect(seed, n_nodes, share):
     components = [*topo.nodes, *topo.links, *topo.services]
     checked = 0
     for fault_class in FaultClass:
-        for component in components:  # hosts included
-            if not taxonomy.is_compatible(topo, component.id, fault_class):
-                continue
-            alarms = taxonomy.effects(topo, fault_class, component.id)
-            assert len(set(alarms)) == len(alarms), (fault_class, component.id)
+        for target in taxonomy.fault_targets(topo, fault_class):  # hosts included
+            alarms = taxonomy.effects(topo, fault_class, target)
+            assert len(set(alarms)) == len(alarms), (fault_class, target)
             checked += 1
     assert checked > len(components)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=6, max_value=30),
+       st.booleans())
+def test_the_network_and_scenarios_read_one_list_of_fault_targets(seed, n_nodes, include_hosts):
+    """The network has a fault for each pair `fault_targets` gives. A
+    scenario accepts every one of them, and, unless the network includes
+    hosts, exactly the physical failures of hosts besides."""
+    topo = random_topology(seed, n_nodes=n_nodes, n_services=max(1, n_nodes // 5))
+    bn = bndiag.build_bn(topo, BnParams(include_hosts=include_hosts))
+    expected = [
+        bndiag.fault_var_id(fault_class, target)
+        for fault_class in FaultClass
+        for target in taxonomy.fault_targets(topo, fault_class, include_hosts)
+    ]
+    assert sorted(expected) == list(bn.fault_ids)
+
+    accepted = set()
+    for fault_class in FaultClass:
+        for component in (*topo.nodes, *topo.links, *topo.services):
+            try:
+                Scenario(topology=topo, faults=(FaultEvent(component.id, fault_class, 0),))
+            except SimError:
+                continue
+            accepted.add((fault_class, component.id))
+    in_network = {bndiag.parse_fault_var(fid) for fid in bn.fault_ids}
+    hosts = {(FaultClass.PHYSICAL_FAILURE, n.id) for n in topo.nodes if n.kind is NodeKind.HOST}
+    assert in_network <= accepted
+    assert accepted - in_network == (set() if include_hosts else hosts)
