@@ -1,15 +1,18 @@
 """The self-healing closed loop: advance, window, diagnose, recover, verify.
 
-A run moves only through `_Driver.advance`: the loop, widening and
-verification each step the simulator through it, and it buffers the
-translated alarms the network has a variable for. A tick that leaves the
-buffer empty has nothing to window; otherwise a non-empty window of the
-last `evidence-window` ticks becomes an incident. Its evidence ranks the
-fault hypotheses by exact inference, and a confident or suspect diagnosis
-is planned, executed against the simulator and verified by polling the
-affected services. An inconclusive diagnosis widens the window one tick
-at a time, a bounded number of times, before the incident is recorded
-unresolved.
+A run moves only through `_Driver`. The loop, widening and verification
+each step the simulator through `_Driver.advance`, which buffers the
+translated alarms the network has a variable for. While nothing is
+buffered, the loop first jumps over the quiet ticks ahead
+(`_Driver.skip_quiet`): ticks with no fault active on which a step would
+emit nothing. Widening and verification count ticks, so they never jump.
+A tick that leaves the buffer empty has nothing to window; otherwise a
+non-empty window of the last `evidence-window` ticks becomes an
+incident. Its evidence ranks the fault hypotheses by exact inference,
+and a confident or suspect diagnosis is planned, executed against the
+simulator and verified by polling the affected services. An
+inconclusive diagnosis widens the window one tick at a time, a bounded
+number of times, before the incident is recorded unresolved.
 
 Ground-truth injected faults are attached to incident records by the
 report writer only; the diagnosis path never sees them. Alarms already
@@ -146,7 +149,11 @@ class _Driver:
         self.suppressed: set[tuple[str, Symptom]] = set()
 
     def advance(self) -> bool:
-        """Step one tick and buffer its alarms; False at the horizon."""
+        """Step one tick and buffer its alarms; False at the horizon.
+
+        Each call is one tick, whoever calls it: widening and verification
+        count their ticks by it.
+        """
         if self.state.tick >= self.state.scenario.horizon:
             return False
         self.state, raws = simkernel.step(self.state)
@@ -165,6 +172,16 @@ class _Driver:
         if self.suppressed:
             self.suppressed.intersection_update(keys)
         return True
+
+    def skip_quiet(self) -> None:
+        """Jump over the ticks on which a step would emit nothing
+        (`simkernel.skip_quiet`). Only the loop calls it, with nothing
+        buffered, so a skipped tick would have windowed nothing; it would
+        have cleared suppression, so a jump clears it."""
+        state = simkernel.skip_quiet(self.state)
+        if state.tick > self.state.tick:
+            self.suppressed.clear()
+            self.state = state
 
     def window(self, widenings: int = 0) -> set[Alarm]:
         """The buffered alarms of the last `span` ticks plus one per widening."""
@@ -232,7 +249,11 @@ def run_loop(
     driver = _Driver(simkernel.init_sim(scenario), diagnoser.bn, config.evidence_window)
 
     records: list[IncidentRecord] = []
-    while driver.advance():
+    while True:
+        if not driver.buffer:  # nothing to window until a tick brings news
+            driver.skip_quiet()
+        if not driver.advance():
+            break
         if not driver.buffer:
             continue
         window = driver.window()

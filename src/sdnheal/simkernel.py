@@ -14,7 +14,11 @@ the previous state's `active_faults` and `repair_tickets` objects, and a
 state whose faults and topology match its predecessor's (after any step
 or any action that changes neither) starts with that state's cached
 alarms (`symptoms` and their sorted `alarm_keys`) and `down` set, so
-only an event pays for `taxonomy.effects`.
+only an event pays for `taxonomy.effects`. With no fault active, a
+quiet tick emits nothing either, and `skip_quiet` moves a state over
+the run of them up to the next tick that can carry news, without
+stepping: a noisy scenario still draws each skipped tick's spurious
+count there, a noiseless one draws nothing.
 
 Under noise each alarm is independently dropped with the configured
 loss probability and spurious alarms are drawn (Poisson-distributed per
@@ -52,7 +56,9 @@ from .recover import (
 from .taxonomy import FaultClass, Symptom
 
 DEFAULT_REPAIR_DELAY = 5
-MAX_HORIZON = 10**6  # ticks; the loop steps every tick
+# ticks; a noisy run draws once per tick, even on a tick the loop jumps
+# over, and a noiseless one only steps the ticks that carry news
+MAX_HORIZON = 10**6
 # alarms per tick; above it exp(-rate), where the Poisson inversion starts,
 # loses precision and then underflows
 MAX_SPURIOUS_RATE = 700.0
@@ -330,6 +336,34 @@ def step(state: SimState) -> tuple[SimState, list[RawAlarm]]:
             pick = _uniform(seed, tick, "pick", str(i))
             alarms.append(_raw_alarm(*vocabulary[int(pick * len(vocabulary))], tick))
     return new_state, alarms
+
+
+def skip_quiet(state: SimState) -> SimState:
+    """`state` moved on to just before the next tick that can carry news.
+
+    With a fault active every tick carries news, so `state` itself comes
+    back. Otherwise only the tick moves, to one before the first later
+    tick at which a scenario fault or a repair ticket is due, the horizon
+    falls, or the tick's spurious count (the draw `step` makes) is
+    non-zero: each skipped step would have emitted nothing and changed
+    nothing else. A noiseless scenario jumps without drawing.
+    """
+    if state.active_faults:
+        return state
+    scenario, tick = state.scenario, state.tick
+    event = min([scenario.horizon, *[ready for _, ready, _ in state.repair_tickets]])
+    if state.next_fault_index < len(scenario.faults):
+        event = min(event, scenario.faults[state.next_fault_index].at_tick)
+    seed, rate = scenario.seed, scenario.noise.spurious_alarm_rate
+    if rate > 0.0:
+        event = next(
+            (t for t in range(tick + 1, event)
+             if _poisson(_uniform(seed, t, "spurious", ""), rate)),
+            event,
+        )
+    if event <= tick + 1:
+        return state
+    return _successor(state, tick=event - 1)
 
 
 def observe_service(state: SimState, service_id: str) -> ServiceState:

@@ -24,7 +24,7 @@ from sdnheal.healloop import (
     run_loop,
 )
 from sdnheal.recover import ActionKind, OutcomeStatus
-from sdnheal.simkernel import FaultEvent, NoiseConfig, Scenario
+from sdnheal.simkernel import FaultEvent, NoiseConfig, Scenario, SimState
 from sdnheal.taxonomy import FaultClass
 
 from topogen import random_topology
@@ -397,15 +397,24 @@ def test_closed_world_evidence_never_denies_a_firing_alarm(t1):
             assert not denied & firing.get(record.diagnosed_at, set())
 
 
+def tick_loop(scenario: Scenario, config: LoopConfig) -> healloop.RunReport:
+    """`run_loop` as the reference: one step per tick, no jump."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simkernel, "skip_quiet", lambda state: state)
+        return run_loop(scenario, config=config)
+
+
 def test_run_loop_calls_through_the_module_attributes(t1, monkeypatch):
     # the benchmark reads a run's final state and its posteriors by
-    # wrapping these attributes with wrappers of these exact signatures
-    ticks, results = [], []
+    # wrapping these attributes with wrappers of these exact signatures;
+    # the loop jumps over quiet ticks, so it needs every step to go
+    # through the wrapper and the last one to reach the horizon
+    steps, results = [], []
     real_step, real_infer = simkernel.step, bndiag.posterior_marginals
 
     def step(state):
         result = real_step(state)
-        ticks.append(result[0].tick)
+        steps.append((result[0].tick, bool(result[1])))
         return result
 
     def posterior_marginals(bn, evidence):
@@ -417,12 +426,136 @@ def test_run_loop_calls_through_the_module_attributes(t1, monkeypatch):
     monkeypatch.setattr(bndiag, "posterior_marginals", posterior_marginals)
     scenario = noisy_three_fault_scenario(t1)
     report = run_loop(scenario)
+    inferred = {id(posterior) for posterior in results}
+    stepped = [tick for tick, _ in steps]
+    steps.clear()
+    tick_loop(scenario, LoopConfig())
     monkeypatch.undo()
 
-    assert ticks == list(range(1, scenario.horizon + 1))
+    assert all(a < b for a, b in zip(stepped, stepped[1:]))
+    assert stepped[-1] == scenario.horizon
+    assert [tick for tick, _ in steps] == list(range(1, scenario.horizon + 1))
+    silent = {tick for tick, emitted in steps if not emitted}
+    skipped = set(range(1, scenario.horizon + 1)).difference(stepped)
+    assert skipped and skipped <= silent
     assert report.records
-    inferred = {id(posterior) for posterior in results}
     assert all(id(record.posterior) in inferred for record in report.records)
+
+
+def fault_pairs(topology, include_hosts: bool = True) -> list:
+    """Every (target, fault class) a scenario on `topology` may inject."""
+    return [
+        (target, fault_class)
+        for fault_class in FaultClass
+        for target in taxonomy.fault_targets(topology, fault_class, include_hosts)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([NoiseConfig(), NoiseConfig(0.15, 0.05), NoiseConfig(0.15, 0.3),
+                     NoiseConfig(0.0, 0.1)]),
+    st.sampled_from(list(EvidencePolicy)),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.data(),
+)
+def test_the_loop_reports_what_the_tick_loop_reports(
+    seed, noise, policy, window, widenings, data
+):
+    """Jumping over quiet ticks changes no byte of a report, on random
+    multi-fault scenarios in overlapping bursts, noisy or not."""
+    topology = random_topology(seed, n_nodes=10, n_services=3, max_path_links=3)
+    compatible = fault_pairs(topology)
+    horizon = 120
+    bursts = data.draw(st.lists(st.integers(min_value=0, max_value=horizon - 4), max_size=4))
+    faults = [
+        FaultEvent(target, fault_class, start + data.draw(st.integers(0, 3)))
+        for start in bursts
+        for target, fault_class in data.draw(
+            st.lists(st.sampled_from(compatible), min_size=1, max_size=3)
+        )
+    ]
+    scenario = Scenario(
+        topology=topology,
+        faults=tuple(faults),
+        noise=noise,
+        seed=seed,
+        horizon=horizon,
+        repair_delay=data.draw(st.integers(min_value=1, max_value=4)),
+    )
+    config = LoopConfig(
+        evidence_window=window, evidence_policy=policy, max_widenings=widenings
+    )
+    expected = emit_report(tick_loop(scenario, config))
+    assert emit_report(run_loop(scenario, config=config)) == expected
+
+
+def soak_scenario(horizon: int, noise: NoiseConfig) -> Scenario:
+    """A hundred faults of any class, spread over a long horizon. No host
+    fails: a host is not in the network, so its failure stays."""
+    topology = random_topology(5, n_nodes=12, n_services=3, max_path_links=3)
+    compatible = fault_pairs(topology, include_hosts=False)
+    rng = random.Random(f"soak|{horizon}")
+    faults = tuple(
+        FaultEvent(*rng.choice(compatible), tick)
+        for tick in rng.sample(range(horizon), 100)
+    )
+    return Scenario(topology=topology, faults=faults, noise=noise, seed=11,
+                    horizon=horizon, repair_delay=3)
+
+
+@pytest.mark.parametrize(
+    "horizon, noise",
+    [(100_000, NoiseConfig()), (20_000, NoiseConfig(0.15, 0.05))],
+    ids=["noiseless", "noisy"],
+)
+def test_a_soak_run_steps_only_the_ticks_that_carry_news(horizon, noise, monkeypatch):
+    """The loop steps every tick but the quiet ones: those it reaches with
+    nothing buffered and no fault active, whose step would emit nothing,
+    change nothing but the tick and stop short of the horizon. The tick
+    loop shows which they are; the report is the tick loop's."""
+    scenario = soak_scenario(horizon, noise)
+    config = LoopConfig()
+    real_step = simkernel.step
+    calls = []
+
+    def step(state):
+        successor, raws = real_step(state)
+        calls.append((state, successor, raws))
+        return successor, raws
+
+    def hold(state):
+        calls.append(state)  # where the loop may jump from
+        return state
+
+    def is_quiet(state, successor, raws):
+        return (
+            not state.active_faults
+            and not raws
+            and successor == state._replace(tick=successor.tick)
+            and successor.tick < horizon
+        )
+
+    monkeypatch.setattr(simkernel, "step", step)
+    monkeypatch.setattr(simkernel, "skip_quiet", hold)
+    expected = emit_report(run_loop(scenario, config=config))
+    quiet = sum(
+        1
+        for held, taken in zip(calls, calls[1:])
+        if isinstance(held, SimState) and taken[0] is held and is_quiet(*taken)
+    )
+    monkeypatch.undo()
+
+    calls.clear()
+    monkeypatch.setattr(simkernel, "step", step)
+    report = emit_report(run_loop(scenario, config=config))
+    monkeypatch.undo()
+    assert len(calls) == horizon - quiet
+    assert quiet > horizon // 2  # most ticks are quiet
+    assert report == expected
+    assert report.count('"recovered": true') > 50
 
 
 def test_loop_config_validation():

@@ -814,6 +814,81 @@ def test_step_equals_the_reference_step_with_actions_between(seed, noise, data):
             reference = reference._replace()  # a fresh state caches nothing
 
 
+def _is_event(state: SimState, successor: SimState, raws: list[RawAlarm]) -> bool:
+    """Whether a step carried news: it emitted, changed more than the tick,
+    or reached the horizon."""
+    return bool(
+        raws
+        or successor != state._replace(tick=successor.tick)
+        or successor.tick == state.scenario.horizon
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([(0.0, 0.0), (0.0, 0.05), (0.3, 0.0), (0.2, 0.3)]),
+    st.data(),
+)
+def test_skip_quiet_jumps_only_over_ticks_that_step_to_nothing(seed, noise, data):
+    """From any state the loop reaches, stepping once after `skip_quiet`
+    gives what stepping tick by tick gives; every skipped step emits
+    nothing and moves only the tick, and the step after the jump is one
+    that carries news."""
+    topology = random_topology(seed, n_nodes=12, n_services=3, max_path_links=3)
+    horizon = 40
+    faults = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_compatible_faults(topology)),
+                st.integers(min_value=0, max_value=horizon - 1),
+            ),
+            max_size=4,
+        )
+    )
+    scenario = Scenario(
+        topology=topology,
+        faults=tuple(FaultEvent(target, fc, tick) for (target, fc), tick in faults),
+        noise=NoiseConfig(*noise),
+        seed=seed,
+        horizon=horizon,
+        repair_delay=data.draw(st.integers(min_value=1, max_value=4)),
+    )
+    state = simkernel.init_sim(scenario)
+    jumps = 0
+    while state.tick < horizon:
+        jumped = simkernel.skip_quiet(state)
+        successor, raws = simkernel.step(state)
+        if state.active_faults or _is_event(state, successor, raws):
+            assert jumped is state
+        assert jumped is state or state.tick < jumped.tick < horizon
+        walked = state
+        while walked.tick < jumped.tick:  # the tick loop, as the reference
+            previous = walked
+            walked, walked_raws = simkernel.step(previous)
+            assert walked_raws == []
+            assert walked == previous._replace(tick=walked.tick)
+        assert walked == jumped
+        landed, landed_raws = simkernel.step(jumped)
+        assert (landed, landed_raws) == simkernel.step(walked)
+        if not state.active_faults:  # no quiet tick is left unskipped
+            assert _is_event(jumped, landed, landed_raws)
+        if jumped is not state:
+            jumps += 1
+            assert all(vars(jumped)[name] is value for name, value in vars(state).items())
+        if not state.active_faults and not noise[1]:
+            due = [ready for _, ready, _ in state.repair_tickets]
+            due += [f.at_tick for f in scenario.faults[state.next_fault_index:]]
+            assert jumped.tick == max(state.tick, min([horizon, *due]) - 1)
+        # on to the next state the loop may hold: a step, then maybe an action
+        state = successor
+        actions = _candidate_actions(state)
+        pick = data.draw(st.integers(min_value=0, max_value=len(actions)))
+        if pick < len(actions):
+            state, _ = simkernel.apply_action(state, actions[pick])
+    assert jumps or faults  # a scenario without faults does jump
+
+
 # ---------------------------------------------------------------------------
 # scenario documents
 
